@@ -37,7 +37,7 @@ from .objectives import (
     objective_grpo,
     objective_lambda,
 )
-from .rewards import cache_step_rewards
+from .rewards import step_rewards
 from .sim import (
     SimConfig,
     ToyEnv,
@@ -167,12 +167,15 @@ def _open_out(path: str) -> Iterator[TextIO]:
 
 def _read_groups(path: str, strict: bool) -> Iterator[Group]:
     errors: list[RecordError] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        yield from iter_groups(handle, strict=strict, errors=errors)
-    if errors:
-        print(f"skipped {len(errors)} malformed line(s)", file=sys.stderr)
-        for err in errors[:5]:
-            print(f"  {err}", file=sys.stderr)
+    # the notice also covers lines skipped before a caller stops reading early
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield from iter_groups(handle, strict=strict, errors=errors)
+    finally:
+        if errors:
+            print(f"skipped {len(errors)} malformed line(s)", file=sys.stderr)
+            for err in errors[:5]:
+                print(f"  {err}", file=sys.stderr)
 
 
 def _csv_cell(value) -> str:
@@ -227,9 +230,10 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     for group in _read_groups(args.input, args.strict):
         if group.query_id == args.group_id:
             tree = build_process_tree(group)
-            cache_step_rewards(tree, group)
             with _open_out(args.output) as out:
-                out.write(export_tree(tree, group, args.format))
+                out.write(
+                    export_tree(tree, group, args.format, step_rewards(tree, group))
+                )
             return 0
     print(f"no group with query_id {args.group_id!r}", file=sys.stderr)
     return 1

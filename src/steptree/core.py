@@ -38,10 +38,13 @@ class Trajectory:
     logp_ref: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        tokens = tuple(int(t) for t in self.tokens)
+        tokens = tuple(self.tokens)
         object.__setattr__(self, "tokens", tokens)
-        if any(t < 0 for t in tokens):
-            raise ValueError("token ids must be non-negative")
+        for t in tokens:
+            if isinstance(t, bool) or not isinstance(t, int):
+                raise ValueError(f"token ids must be integers, got {t!r}")
+            if t < 0:
+                raise ValueError("token ids must be non-negative")
         reward = float(self.reward)
         object.__setattr__(self, "reward", reward)
         if not math.isfinite(reward):

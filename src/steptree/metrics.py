@@ -282,24 +282,33 @@ class MetricsSummary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsSummary":
-        summary = cls(
-            group_count=data["group_count"],
-            trajectory_count=data["trajectory_count"],
-            trivial_count=data["trivial_count"],
-            zero_length_count=data["zero_length_count"],
-            depth_sum=data["depth_sum"],
-            proportion_sum=Fraction(data["proportion_sum"]),
-            depth_hist={int(k): v for k, v in data["depth_hist"].items()},
-            proportion_hist={int(k): v for k, v in data["proportion_hist"].items()},
-        )
-        for step, entry in data.get("per_step_raw", {}).items():
-            summary.per_step[int(step)] = StepSeriesEntry(
-                group_count=entry["group_count"],
-                trajectory_count=entry["trajectory_count"],
-                trivial_count=entry["trivial_count"],
-                depth_sum=entry["depth_sum"],
-                proportion_sum=Fraction(entry["proportion_sum"]),
+        """Rebuild a summary from ``to_mergeable_dict`` output.
+
+        Raises ValueError naming the first missing field.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("summary must be a JSON object")
+        try:
+            summary = cls(
+                group_count=data["group_count"],
+                trajectory_count=data["trajectory_count"],
+                trivial_count=data["trivial_count"],
+                zero_length_count=data["zero_length_count"],
+                depth_sum=data["depth_sum"],
+                proportion_sum=Fraction(data["proportion_sum"]),
+                depth_hist={int(k): v for k, v in data["depth_hist"].items()},
+                proportion_hist={int(k): v for k, v in data["proportion_hist"].items()},
             )
+            for step, entry in data.get("per_step_raw", {}).items():
+                summary.per_step[int(step)] = StepSeriesEntry(
+                    group_count=entry["group_count"],
+                    trajectory_count=entry["trajectory_count"],
+                    trivial_count=entry["trivial_count"],
+                    depth_sum=entry["depth_sum"],
+                    proportion_sum=Fraction(entry["proportion_sum"]),
+                )
+        except KeyError as exc:
+            raise ValueError(f"summary is missing field {exc.args[0]!r}") from None
         return summary
 
     def to_mergeable_dict(self) -> dict:

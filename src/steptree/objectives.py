@@ -1,12 +1,13 @@
 """Token-level objective evaluation: ratio terms, KL terms, and the three
 surrogate objectives.
 
-The per-token term is ``P[i][t] * adv - beta * D[i][t]`` where ``adv`` is
-the outcome advantage (GRPO), the step advantage (PRM form), or the outcome
-advantage with the whole term scaled by 1/|owning set| (the set-size
-corrected form). Reported values are token means of these terms and are
-objectives to *maximize*; ``ObjectiveReport.loss`` is the negation for
-trainers that minimize.
+All three are one token sum with the per-token term
+``(P[i][t] * A[i][t] - beta * D[i][t]) / s[i][t]``. They differ only in the
+advantage ``A`` (the outcome advantage a_i for GRPO and the set-size
+corrected form, the step advantage for the PRM form) and the divisor ``s``
+(1, or |owning set| for the set-size corrected form). Reported values are
+token means of these terms and are objectives to *maximize*;
+``ObjectiveReport.loss`` is the negation for trainers that minimize.
 
 All accumulation uses ``math.fsum`` (exact compensated summation), which
 keeps the cross-check identities tight at 1e-12 even for large groups.
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from .core import Group
 from .rewards import StepAdvantages
@@ -54,18 +56,11 @@ class ObjectiveConfig:
 
 @dataclass(frozen=True)
 class ObjectiveReport:
-    """Scalar objective value plus its per-token term breakdown.
-
-    ``advantage_total`` and ``kl_total`` are the summed contributions of
-    the ratio-times-advantage part and the subtracted KL part (weighted the
-    same way as the terms themselves).
-    """
+    """Scalar objective value plus its per-token term breakdown."""
 
     objective: str
     value: float
     per_token_terms: tuple[tuple[float, ...], ...]
-    advantage_total: float
-    kl_total: float
     total_tokens: int
 
     @property
@@ -121,22 +116,40 @@ def lambda_weights(
     return [[1.0 / node.size for node in row] for row in assignment.owners]
 
 
-def _report(
+def _token_sum(
     objective: str,
     group: Group,
-    term_rows: Sequence[Sequence[float]],
-    pa_rows: Sequence[Sequence[float]],
-    kl_rows: Sequence[Sequence[float]],
+    advantage_rows: Iterable[Iterable[float]],
+    divisor_rows: Iterable[Iterable[float]],
+    config: ObjectiveConfig,
 ) -> ObjectiveReport:
+    """Token mean of (P * A - beta * D) / s over the whole group.
+
+    Rows are per completion; advantage and divisor rows may be endless
+    (``itertools.repeat``), since each is cut to its completion's length.
+    """
+    p = ratio_terms(group, config)
+    d = kl_terms(group, config)
+    beta = config.beta
+    term_rows = tuple(
+        tuple(
+            (p_t * a_t - beta * d_t) / s_t
+            for p_t, a_t, d_t, s_t in zip(p_row, a_row, d_row, s_row)
+        )
+        for p_row, a_row, d_row, s_row in zip(
+            p, advantage_rows, d, divisor_rows, strict=True
+        )
+    )
     total_tokens = group.total_tokens
-    flat = [term for row in term_rows for term in row]
-    value = math.fsum(flat) / total_tokens if total_tokens else 0.0
+    value = (
+        math.fsum(term for row in term_rows for term in row) / total_tokens
+        if total_tokens
+        else 0.0
+    )
     return ObjectiveReport(
         objective=objective,
         value=value,
-        per_token_terms=tuple(tuple(row) for row in term_rows),
-        advantage_total=math.fsum(x for row in pa_rows for x in row),
-        kl_total=math.fsum(x for row in kl_rows for x in row),
+        per_token_terms=term_rows,
         total_tokens=total_tokens,
     )
 
@@ -147,20 +160,9 @@ def objective_grpo(
     config: ObjectiveConfig,
 ) -> ObjectiveReport:
     """Token-mean of P * a_i - beta * D with outcome advantages a_i."""
-    p = ratio_terms(group, config)
-    d = kl_terms(group, config)
-    beta = config.beta
-    pa_rows = []
-    kl_rows = []
-    term_rows = []
-    for i, traj in enumerate(group.trajectories):
-        a = advantages[i]
-        pa = [p[i][t] * a for t in range(len(traj))]
-        kl = [beta * d[i][t] for t in range(len(traj))]
-        pa_rows.append(pa)
-        kl_rows.append(kl)
-        term_rows.append([pa[t] - beta * d[i][t] for t in range(len(traj))])
-    return _report(GRPO, group, term_rows, pa_rows, kl_rows)
+    return _token_sum(
+        GRPO, group, [repeat(a) for a in advantages], [repeat(1)] * group.k, config
+    )
 
 
 def objective_prm(
@@ -174,20 +176,9 @@ def objective_prm(
     advantage by the owning set's mean advantage redistributes the same
     total within every shared span.
     """
-    p = ratio_terms(group, config)
-    d = kl_terms(group, config)
-    beta = config.beta
-    pa_rows = []
-    kl_rows = []
-    term_rows = []
-    for i, traj in enumerate(group.trajectories):
-        row_a = advantages.token_advantage[i]
-        pa = [p[i][t] * row_a[t] for t in range(len(traj))]
-        kl = [beta * d[i][t] for t in range(len(traj))]
-        pa_rows.append(pa)
-        kl_rows.append(kl)
-        term_rows.append([pa[t] - beta * d[i][t] for t in range(len(traj))])
-    return _report(PRM, group, term_rows, pa_rows, kl_rows)
+    return _token_sum(
+        PRM, group, advantages.token_advantage, [repeat(1)] * group.k, config
+    )
 
 
 def objective_lambda(
@@ -204,26 +195,5 @@ def objective_lambda(
     |owning set|: process sets contribute equally at every position instead
     of in proportion to their size.
     """
-    p = ratio_terms(group, config)
-    d = kl_terms(group, config)
-    beta = config.beta
-    pa_rows = []
-    kl_rows = []
-    term_rows = []
-    for i, traj in enumerate(group.trajectories):
-        a = advantages[i]
-        owners = assignment.owners[i]
-        pa = []
-        kl = []
-        terms = []
-        for t in range(len(traj)):
-            size = owners[t].size
-            base = p[i][t] * a
-            penalty = beta * d[i][t]
-            pa.append(base / size)
-            kl.append(penalty / size)
-            terms.append((base - penalty) / size)
-        pa_rows.append(pa)
-        kl_rows.append(kl)
-        term_rows.append(terms)
-    return _report(LAMBDA, group, term_rows, pa_rows, kl_rows)
+    sizes = ([node.size for node in row] for row in assignment.owners)
+    return _token_sum(LAMBDA, group, [repeat(a) for a in advantages], sizes, config)

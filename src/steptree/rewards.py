@@ -17,17 +17,13 @@ from .tree import ProcessNode, ProcessTree, TokenAssignment
 
 
 def step_reward(node: ProcessNode, group: Group) -> float:
-    """Mean outcome reward of the node's members, cached on the node."""
-    if node.step_reward_cache is None:
-        total = math.fsum(group.trajectories[i].reward for i in node.sorted_members())
-        node.step_reward_cache = total / node.size
-    return node.step_reward_cache
+    """Mean outcome reward of the node's members."""
+    return math.fsum(group.trajectories[i].reward for i in node.members) / node.size
 
 
-def cache_step_rewards(tree: ProcessTree, group: Group) -> None:
-    """Fill the step-reward cache of every node in one pass."""
-    for node in tree.nodes:
-        step_reward(node, group)
+def step_rewards(tree: ProcessTree, group: Group) -> tuple[float, ...]:
+    """Step reward of every node of the tree, indexed by ``node_id``."""
+    return tuple(step_reward(node, group) for node in tree.nodes)
 
 
 @dataclass(eq=False)
@@ -56,23 +52,13 @@ def step_advantages(
     outcome advantage exactly; shared spans receive the owning set's
     Monte-Carlo mean instead.
     """
-    reward_rows = []
-    advantage_rows = []
-    node_adv: dict[int, float] = {}
-    for i, row in enumerate(assignment.owners):
-        rewards = []
-        advantages = []
-        for node in row:
-            r = step_reward(node, group)
-            a = node_adv.get(node.node_id)
-            if a is None:
-                a = normalized_advantage(r, stats)
-                node_adv[node.node_id] = a
-            rewards.append(r)
-            advantages.append(a)
-        reward_rows.append(tuple(rewards))
-        advantage_rows.append(tuple(advantages))
+    rewards = step_rewards(tree, group)
+    node_adv = [normalized_advantage(r, stats) for r in rewards]
     return StepAdvantages(
-        token_reward=tuple(reward_rows),
-        token_advantage=tuple(advantage_rows),
+        token_reward=tuple(
+            tuple(rewards[node.node_id] for node in row) for row in assignment.owners
+        ),
+        token_advantage=tuple(
+            tuple(node_adv[node.node_id] for node in row) for row in assignment.owners
+        ),
     )

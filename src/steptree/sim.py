@@ -35,7 +35,7 @@ from .objectives import (
     objective_grpo,
     objective_lambda,
 )
-from .tree import ProcessNode, ProcessTree, TokenAssignment, assign_tokens, build_process_tree
+from .tree import ProcessNode, ProcessTree, assign_tokens, build_process_tree
 
 Context = tuple[int, ...]
 GradientTable = dict[Context, list[float]]
@@ -229,14 +229,29 @@ def rollout_group(
     return Group(query_id=query_id, trajectories=tuple(trajectories))
 
 
-def _token_weights(
-    group: Group, objective: str
-) -> tuple[list[list[float]], Optional[ProcessTree], Optional[TokenAssignment]]:
+def _token_weights(group: Group, objective: str) -> list[list[float]]:
     if objective == GRPO:
-        return [[1.0] * len(t) for t in group.trajectories], None, None
+        return [[1.0] * len(t) for t in group.trajectories]
     tree = build_process_tree(group)
-    assignment = assign_tokens(tree)
-    return lambda_weights(tree, assignment), tree, assignment
+    return lambda_weights(tree, assign_tokens(tree))
+
+
+def _add_score(
+    policy: ToyPolicy, gradient: GradientTable, ctx: Context, token: int, coef: float
+) -> None:
+    """Add coef * grad(log pi(token | ctx)) to the gradient table.
+
+    For a softmax, grad(log pi) is (indicator - probs) / temperature; the
+    1/temperature factor is part of ``coef``.
+    """
+    probs = policy.probs(ctx)
+    grad = gradient.get(ctx)
+    if grad is None:
+        grad = [0.0] * policy.vocab_size
+        gradient[ctx] = grad
+    for v, pv in enumerate(probs):
+        grad[v] -= coef * pv
+    grad[token] += coef
 
 
 def analytic_gradient(
@@ -253,26 +268,16 @@ def analytic_gradient(
     """
     stats = reward_stats(group, config.std_mode, config.epsilon)
     advantages = outcome_advantages(group, stats)
-    weights, _, _ = _token_weights(group, objective)
+    weights = _token_weights(group, objective)
     total = group.total_tokens
-    if total == 0:
-        return {}
     gradient: GradientTable = {}
     inv_temp = 1.0 / policy.temperature
     for i, traj in enumerate(group.trajectories):
         adv = advantages[i]
         prefix: list[int] = []
         for t, token in enumerate(traj.tokens):
-            ctx = policy.context(prefix)
             coef = weights[i][t] * adv * inv_temp / total
-            probs = policy.probs(ctx)
-            grad = gradient.get(ctx)
-            if grad is None:
-                grad = [0.0] * policy.vocab_size
-                gradient[ctx] = grad
-            for v, pv in enumerate(probs):
-                grad[v] -= coef * pv
-            grad[token] += coef
+            _add_score(policy, gradient, policy.context(prefix), token, coef)
             prefix.append(token)
     return gradient
 
@@ -296,23 +301,12 @@ def node_gradient(
     advantages = outcome_advantages(group, stats)
     total = group.total_tokens
     gradient: GradientTable = {}
-    if total == 0 or node.span_len == 0:
-        return gradient
     inv_temp = 1.0 / policy.temperature
     for i in node.sorted_members():
         tokens = group.trajectories[i].tokens
-        adv = advantages[i]
         for t in range(node.span_start, node.span_end):
-            ctx = policy.context(tokens[:t])
-            coef = adv * inv_temp / total
-            probs = policy.probs(ctx)
-            grad = gradient.get(ctx)
-            if grad is None:
-                grad = [0.0] * policy.vocab_size
-                gradient[ctx] = grad
-            for v, pv in enumerate(probs):
-                grad[v] -= coef * pv
-            grad[tokens[t]] += coef
+            coef = advantages[i] * inv_temp / total
+            _add_score(policy, gradient, policy.context(tokens[:t]), tokens[t], coef)
     if objective == LAMBDA:
         size = node.size
         for grad in gradient.values():
@@ -335,7 +329,7 @@ def surrogate_value(
     """
     stats = reward_stats(group, config.std_mode, config.epsilon)
     advantages = outcome_advantages(group, stats)
-    weights, _, _ = _token_weights(group, objective)
+    weights = _token_weights(group, objective)
     total = group.total_tokens
     if total == 0:
         return 0.0
@@ -380,7 +374,7 @@ def finite_diff_check(
     analytic = analytic_gradient(policy, group, objective, config)
     stats = reward_stats(group, config.std_mode, config.epsilon)
     advantages = outcome_advantages(group, stats)
-    weights, _, _ = _token_weights(group, objective)
+    weights = _token_weights(group, objective)
     total = group.total_tokens
     mass = (
         math.fsum(

@@ -38,7 +38,7 @@ from .objectives import (
     objective_prm,
     ratio_terms,
 )
-from .rewards import step_advantages, step_reward
+from .rewards import step_advantages, step_rewards
 from .tree import ProcessTree, assign_tokens, build_process_tree, is_trivial, partition_at
 
 BERNOULLI = "bernoulli"
@@ -305,6 +305,7 @@ def _prm_value_by_nodes(
     process sets and their spans, never touching outcome advantages.
     """
     stats = reward_stats(group, std_mode, epsilon)
+    rewards = step_rewards(tree, group)
     p = ratio_terms(group, config)
     d = kl_terms(group, config)
     beta = config.beta
@@ -312,7 +313,7 @@ def _prm_value_by_nodes(
     for node in tree.nodes:
         if node.span_len == 0:
             continue
-        ahat = normalized_advantage(step_reward(node, group), stats)
+        ahat = normalized_advantage(rewards[node.node_id], stats)
         members = node.sorted_members()
         for t in range(node.span_start, node.span_end):
             for i in members:
@@ -357,6 +358,7 @@ def verify_equivalence(
 def _partition_value(
     group: Group,
     tree: ProcessTree,
+    rewards: Sequence[float],
     config: ObjectiveConfig,
     kind: str,
     std_mode: str,
@@ -366,7 +368,8 @@ def _partition_value(
 
     ``kind`` selects the per-term form: outcome advantages, step
     advantages, or the grouped set-size-corrected form where each process
-    set contributes one term per position.
+    set contributes one term per position. ``rewards`` are the step
+    rewards indexed by node id.
     """
     stats = reward_stats(group, std_mode, epsilon)
     adv = outcome_advantages(group, stats)
@@ -380,11 +383,11 @@ def _partition_value(
             if kind == "grpo":
                 terms.extend(p[i][t] * adv[i] - beta * d[i][t] for i in members)
             elif kind == "prm":
-                ahat = normalized_advantage(step_reward(node, group), stats)
+                ahat = normalized_advantage(rewards[node.node_id], stats)
                 terms.extend(p[i][t] * ahat - beta * d[i][t] for i in members)
             else:  # grouped set-size-corrected form
                 rep = members[0]
-                ahat = normalized_advantage(step_reward(node, group), stats)
+                ahat = normalized_advantage(rewards[node.node_id], stats)
                 terms.append(p[rep][t] * ahat - beta * d[rep][t])
     total = group.total_tokens
     return math.fsum(terms) / total if total else 0.0
@@ -414,6 +417,7 @@ def verify_proof_identities(
     adv = outcome_advantages(group, stats)
     tree = build_process_tree(group)
     assignment = assign_tokens(tree)
+    rewards = step_rewards(tree, group)
     p = ratio_terms(group, config)
     d = kl_terms(group, config)
     beta = config.beta
@@ -424,7 +428,7 @@ def verify_proof_identities(
     for node in tree.nodes:
         if node.span_len == 0:
             continue
-        ahat = normalized_advantage(step_reward(node, group), stats)
+        ahat = normalized_advantage(rewards[node.node_id], stats)
         members = node.sorted_members()
         rep = members[0]
         for t in range(node.span_start, node.span_end):
@@ -447,7 +451,9 @@ def verify_proof_identities(
         ("prm", prm_report),
         ("lambda", lambda_report),
     ):
-        position_major = _partition_value(group, tree, config, kind, std_mode, epsilon)
+        position_major = _partition_value(
+            group, tree, rewards, config, kind, std_mode, epsilon
+        )
         scale = _term_scale(report.per_token_terms, total)
         worst = max(worst, _rel_gap(report.value, position_major, scale))
 

@@ -1,13 +1,19 @@
 import csv
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
+from steptree import group_from_sequences
 from steptree.cli import main
 from steptree.io import serialize_group
 from steptree.verify import GenParams, LOGP_RANDOM_CONSISTENT, generate_random_group
 
 from conftest import make_overlap_group, make_trivial_group
+
+GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def write_dump(path, groups):
@@ -97,6 +103,25 @@ class TestTree:
         doc = json.loads(capsys.readouterr().out)
         assert doc["node_count"] == 10
         assert doc["root"]["step_reward"] == pytest.approx(2.5 / 6.0)
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_golden_bytes(self, dump, tmp_path, fmt):
+        out = tmp_path / f"tree.{fmt}"
+        args = ["tree", str(dump), "--group-id", "overlap", "--format", fmt]
+        assert main(args + ["-o", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"overlap_tree.{fmt}").read_bytes()
+
+    def test_skip_notice_when_group_found(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            serialize_group(make_trivial_group())
+            + "\nnot json\n"
+            + serialize_group(make_overlap_group())
+            + "\n",
+            encoding="utf-8",
+        )
+        assert main(["tree", str(path), "--group-id", "overlap"]) == 0
+        assert "skipped 1 malformed line(s)" in capsys.readouterr().err
 
     def test_missing_group(self, dump, capsys):
         code = main(["tree", str(dump), "--group-id", "nope"])
@@ -259,6 +284,18 @@ class TestReport:
         )
         assert json.loads(merged.read_text()) == json.loads(paths["full"].read_text())
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [('{"group_count": 1}', "trajectory_count"), ("[]", "JSON object")],
+    )
+    def test_malformed_summary_is_an_error(self, tmp_path, capsys, text, named):
+        path = tmp_path / "summary.json"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_2(self):
@@ -274,3 +311,31 @@ class TestUsage:
     def test_missing_file_reports_error(self, capsys):
         assert main(["analyze", "/does/not/exist.jsonl"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_chain_deeper_than_recursion_limit(tmp_path, capsys):
+    # completion j is a strict prefix of completion j + 1, so the tree is k
+    # levels deep, deeper than the default recursion limit
+    k = 1200
+    chain = group_from_sequences(
+        "chain", [[1] * (j + 1) for j in range(k)], [float(j % 2) for j in range(k)]
+    )
+    path = tmp_path / "chain.jsonl"
+    write_dump(path, [chain])
+    assert main(["analyze", str(path)]) == 0
+    assert main(["weights", str(path), "--objective", "lambda"]) == 0
+    assert main(["verify", str(path), "--skip-identities"]) == 0
+    out = capsys.readouterr().out
+    assert "equivalence: 1 group(s)" in out
+    assert out.rstrip().endswith("... ok")
+
+
+def test_traced_layers_resolve(monkeypatch):
+    # the benchmark's traced mode wraps these by name; a rename must fail here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    traced_cli = importlib.import_module("traced_cli")
+    for home, attr, _ in traced_cli.LAYER_CALLS:
+        target = importlib.import_module(f"steptree.{home}")
+        for name in attr.split("."):
+            target = getattr(target, name)
+        assert callable(target), (home, attr)

@@ -136,6 +136,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-negative"):
             Trajectory(tokens=(1, -2), reward=0.0)
 
+    @pytest.mark.parametrize("token", [1.7, 2.0, True])
+    def test_non_integer_token_rejected(self, token):
+        with pytest.raises(ValueError, match="token ids must be integers"):
+            Trajectory(tokens=(token, 2), reward=1)
+
     def test_nonfinite_reward_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             Trajectory(tokens=(1,), reward=float("nan"))

@@ -260,13 +260,3 @@ class TestLambdaWeights:
             tree = build_process_tree(group)
             weights = lambda_weights(tree, assign_tokens(tree))
             assert all(0.0 < w <= 1.0 for row in weights for w in row)
-
-
-def test_report_components_recompose(overlap_group_logps):
-    config = ObjectiveConfig(beta=0.04, assume_unit_ratio=False)
-    stats = reward_stats(overlap_group_logps)
-    adv = outcome_advantages(overlap_group_logps, stats)
-    report = objective_grpo(overlap_group_logps, adv, config)
-    assert report.value * report.total_tokens == pytest.approx(
-        report.advantage_total - report.kl_total, rel=1e-12
-    )

@@ -41,13 +41,6 @@ class TestStepReward:
             2.5 / 6.0, abs=1e-15
         )
 
-    def test_cached_on_node(self, overlap_group):
-        tree = build_process_tree(overlap_group)
-        node = find_node(tree, {3, 4})
-        assert node.step_reward_cache is None
-        value = step_reward(node, overlap_group)
-        assert node.step_reward_cache == value
-
     def test_parent_mixture(self):
         params = GenParams(seed=21, reward_dist="uniform", fork_bias=0.7)
         for index in range(40):

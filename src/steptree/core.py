@@ -44,7 +44,7 @@ class Trajectory:
             if isinstance(t, bool) or not isinstance(t, int):
                 raise ValueError(f"token ids must be integers, got {t!r}")
             if t < 0:
-                raise ValueError("token ids must be non-negative")
+                raise ValueError(f"token ids must be non-negative, got {t}")
         reward = float(self.reward)
         object.__setattr__(self, "reward", reward)
         if not math.isfinite(reward):

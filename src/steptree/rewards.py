@@ -23,7 +23,13 @@ def step_reward(node: ProcessNode, group: Group) -> float:
 
 def step_rewards(tree: ProcessTree, group: Group) -> tuple[float, ...]:
     """Step reward of every node of the tree, indexed by ``node_id``."""
-    return tuple(step_reward(node, group) for node in tree.nodes)
+    outcome = [t.reward for t in group.trajectories]
+    return tuple(
+        [
+            math.fsum([outcome[i] for i in n.members]) / len(n.members)
+            for n in tree.nodes
+        ]
+    )
 
 
 @dataclass(eq=False)
@@ -56,9 +62,9 @@ def step_advantages(
     node_adv = [normalized_advantage(r, stats) for r in rewards]
     return StepAdvantages(
         token_reward=tuple(
-            tuple(rewards[node.node_id] for node in row) for row in assignment.owners
+            [tuple([rewards[n.node_id] for n in row]) for row in assignment.owners]
         ),
         token_advantage=tuple(
-            tuple(node_adv[node.node_id] for node in row) for row in assignment.owners
+            [tuple([node_adv[n.node_id] for n in row]) for row in assignment.owners]
         ),
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .core import Group
 
@@ -109,6 +109,11 @@ def build_process_tree(group: Group) -> ProcessTree:
         if parent >= 0:
             child_ids[parent].append(node_id)
         child_ids.append([])
+        if len(members) == 1:
+            # a lone member shares its whole remaining sequence with itself
+            spans.append((members, start, len(seqs[members[0]])))
+            leaf_ids[members[0]] = node_id
+            continue
         stop = min(len(seqs[i]) for i in members)
         lead = seqs[members[0]]
         rest = members[1:]
@@ -119,9 +124,6 @@ def build_process_tree(group: Group) -> ProcessTree:
                 break
             end += 1
         spans.append((members, start, end))
-        if len(members) == 1:
-            leaf_ids[members[0]] = node_id
-            continue
         ended = [i for i in members if len(seqs[i]) == end]
         if len(ended) == len(members):
             parts = [[i] for i in members]
@@ -136,18 +138,18 @@ def build_process_tree(group: Group) -> ProcessTree:
         for part in reversed(parts):
             stack.append((part, end, node_id))
 
-    built: dict[int, ProcessNode] = {}
+    built: list = [None] * len(spans)
     for node_id in reversed(range(len(spans))):
         members, start, end = spans[node_id]
         ids = child_ids[node_id]
         children = tuple([built[c] for c in ids]) if ids else ()
         # positional: keyword arguments make small-tree builds ~10% slower
         built[node_id] = ProcessNode(node_id, frozenset(members), start, end, children)
-    nodes = tuple(reversed(built.values()))
+    nodes = tuple(built)
     return ProcessTree(
         root=nodes[0],
         nodes=nodes,
-        leaves={i: built[n] for i, n in leaf_ids.items()},
+        leaves={i: nodes[n] for i, n in leaf_ids.items()},
         max_len=group.max_len,
     )
 
@@ -196,13 +198,13 @@ def is_trivial(tree: ProcessTree) -> bool:
 def export_tree(
     tree: ProcessTree,
     group: Group,
-    format: str = DOT,
-    step_rewards: Optional[Sequence[float]] = None,
+    format: str,
+    step_rewards: Sequence[float],
 ) -> str:
     """Render the tree as a Graphviz DOT document or nested JSON.
 
     ``step_rewards`` (indexed by node id, as from ``rewards.step_rewards``)
-    labels each node with its step reward; without it no rewards are shown.
+    labels each node with its step reward.
     """
     if format == DOT:
         return _export_dot(tree, group, step_rewards)
@@ -224,7 +226,7 @@ def _token_label(tokens: list[int]) -> str:
 
 
 def _export_dot(
-    tree: ProcessTree, group: Group, step_rewards: Optional[Sequence[float]]
+    tree: ProcessTree, group: Group, step_rewards: Sequence[float]
 ) -> str:
     lines = [
         "digraph process_tree {",
@@ -236,8 +238,7 @@ def _export_dot(
         token_text = _token_label(_span_tokens(node, group))
         if token_text:
             label += f"\\n{token_text}"
-        if step_rewards is not None:
-            label += f"\\nR={step_rewards[node.node_id]:.4f}"
+        label += f"\\nR={step_rewards[node.node_id]:.4f}"
         attrs = [f'label="{label}"']
         if node is tree.root:
             attrs.append('fillcolor="#f8cecc"')
@@ -252,7 +253,7 @@ def _export_dot(
 
 
 def _node_dict(
-    node: ProcessNode, group: Group, step_rewards: Optional[Sequence[float]]
+    node: ProcessNode, group: Group, step_rewards: Sequence[float]
 ) -> dict:
     return {
         "id": node.node_id,
@@ -260,13 +261,13 @@ def _node_dict(
         "span_start": node.span_start,
         "span_end": node.span_end,
         "tokens": _span_tokens(node, group),
-        "step_reward": None if step_rewards is None else step_rewards[node.node_id],
+        "step_reward": step_rewards[node.node_id],
         "children": [_node_dict(c, group, step_rewards) for c in node.children],
     }
 
 
 def _export_json(
-    tree: ProcessTree, group: Group, step_rewards: Optional[Sequence[float]]
+    tree: ProcessTree, group: Group, step_rewards: Sequence[float]
 ) -> str:
     doc = {
         "query_id": group.query_id,

@@ -11,6 +11,7 @@ from steptree import (
     group_from_sequences,
     is_trivial,
     partition_at,
+    step_rewards,
 )
 from steptree.verify import GenParams, generate_random_group
 
@@ -256,7 +257,7 @@ class TestTriviality:
 class TestExport:
     def test_dot_counts(self, overlap_group):
         tree = build_process_tree(overlap_group)
-        doc = export_tree(tree, overlap_group, "dot")
+        doc = export_tree(tree, overlap_group, "dot", step_rewards(tree, overlap_group))
         nodes = [line for line in doc.splitlines() if " [label=" in line]
         edges = [line for line in doc.splitlines() if " -> " in line]
         assert len(nodes) == 10
@@ -267,7 +268,8 @@ class TestExport:
 
     def test_dot_trivial_counts(self):
         group = make_trivial_group(k=6)
-        doc = export_tree(build_process_tree(group), group, "dot")
+        tree = build_process_tree(group)
+        doc = export_tree(tree, group, "dot", step_rewards(tree, group))
         nodes = [line for line in doc.splitlines() if " [label=" in line]
         edges = [line for line in doc.splitlines() if " -> " in line]
         assert len(nodes) == 7
@@ -277,12 +279,14 @@ class TestExport:
         group = group_from_sequences(
             "long", [tuple([3] * 12), tuple([3] * 11 + [4])], [1.0, 0.0]
         )
-        doc = export_tree(build_process_tree(group), group, "dot")
+        tree = build_process_tree(group)
+        doc = export_tree(tree, group, "dot", step_rewards(tree, group))
         assert "..." in doc
 
     def test_json_round_trip(self, overlap_group):
         tree = build_process_tree(overlap_group)
-        doc = json.loads(export_tree(tree, overlap_group, "json"))
+        rewards = step_rewards(tree, overlap_group)
+        doc = json.loads(export_tree(tree, overlap_group, "json", rewards))
         assert doc["node_count"] == 10
 
         flat = {}
@@ -297,7 +301,8 @@ class TestExport:
 
     def test_json_tokens_match_spans(self, overlap_group):
         tree = build_process_tree(overlap_group)
-        doc = json.loads(export_tree(tree, overlap_group, "json"))
+        rewards = step_rewards(tree, overlap_group)
+        doc = json.loads(export_tree(tree, overlap_group, "json", rewards))
 
         def walk(node):
             lead = min(node["members"])
@@ -311,4 +316,4 @@ class TestExport:
     def test_unknown_format_rejected(self, overlap_group):
         tree = build_process_tree(overlap_group)
         with pytest.raises(ValueError):
-            export_tree(tree, overlap_group, "svg")
+            export_tree(tree, overlap_group, "svg", step_rewards(tree, overlap_group))

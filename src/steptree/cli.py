@@ -202,9 +202,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             config = effective_config(group, args.beta)
             assignment = assign_tokens(tree)
             value_grpo = objective_grpo(group, advantages, config).value
-            value_lambda = objective_lambda(
-                group, tree, assignment, advantages, config
-            ).value
+            value_lambda = objective_lambda(group, assignment, advantages, config).value
             writer.writerow(
                 _csv_cell(v)
                 for v in (
@@ -281,15 +279,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             equivalence.record(
                 args.seed,
                 index,
-                verify_equivalence(group, config, args.tol, args.std, args.eps),
+                verify_equivalence(group, config, args.std, args.eps),
             )
             if identities is not None:
                 identities.record(
                     args.seed,
                     index,
-                    verify_proof_identities(
-                        group, config, IDENTITY_TOL, args.std, args.eps
-                    ),
+                    verify_proof_identities(group, config, args.std, args.eps),
                 )
     _print_report("equivalence", equivalence)
     _print_report("identities", identities)
@@ -461,9 +457,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except RecordError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,15 +20,47 @@ STD_MODES = (SAMPLE, POPULATION)
 DEFAULT_EPSILON = 1e-8
 
 _LOGP_FIELDS = ("logp_new", "logp_old", "logp_ref")
+_NEG_INF = -math.inf
+
+
+def _as_float(value, what: str) -> float:
+    """An int or float as a float; bools, strings and other types are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _logp(name: str, value) -> float:
+    x = _as_float(value, f"{name} entry")
+    if not _NEG_INF < x <= 0.0:
+        raise ValueError(f"{name} entries must be finite and <= 0")
+    return x
+
+
+def _logp_row(name: str, values, n_tokens: int) -> tuple[float, ...]:
+    """Check a log-prob array in one pass; only non-float entries are converted."""
+    row = tuple(values)
+    if len(row) != n_tokens:
+        raise ValueError(f"{name} has {len(row)} entries for {n_tokens} tokens")
+    for i, x in enumerate(row):
+        if type(x) is not float or not _NEG_INF < x <= 0.0:
+            # the rest goes through the full check, which converts or rejects
+            return row[:i] + tuple(_logp(name, v) for v in row[i:])
+    return row
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One sampled completion.
+    """One sampled completion; the only place its values are checked.
 
+    Token ids are non-negative ints; ``reward`` is a finite int or float.
     ``logp_new``, ``logp_old``, and ``logp_ref`` are natural-log
     probabilities per token under the current, rollout, and reference
-    policies. When present they must match the token count and be <= 0.
+    policies; when present they must match the token count and be <= 0.
+    Numbers are stored as floats; bools and strings are not numbers here.
     """
 
     tokens: tuple[int, ...]
@@ -39,28 +71,23 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         tokens = tuple(self.tokens)
-        object.__setattr__(self, "tokens", tokens)
         for t in tokens:
-            if isinstance(t, bool) or not isinstance(t, int):
-                raise ValueError(f"token ids must be integers, got {t!r}")
-            if t < 0:
-                raise ValueError(f"token ids must be non-negative, got {t}")
-        reward = float(self.reward)
-        object.__setattr__(self, "reward", reward)
+            if type(t) is not int or t < 0:
+                if isinstance(t, bool) or not isinstance(t, int):
+                    raise ValueError(f"token ids must be integers, got {t!r}")
+                if t < 0:
+                    raise ValueError(f"token ids must be non-negative, got {t}")
+        object.__setattr__(self, "tokens", tokens)
+        reward = self.reward
+        if type(reward) is not float:
+            reward = _as_float(reward, "reward")
+            object.__setattr__(self, "reward", reward)
         if not math.isfinite(reward):
             raise ValueError("reward must be finite")
         for name in _LOGP_FIELDS:
-            logps = getattr(self, name)
-            if logps is None:
-                continue
-            logps = tuple(float(x) for x in logps)
-            object.__setattr__(self, name, logps)
-            if len(logps) != len(tokens):
-                raise ValueError(
-                    f"{name} has {len(logps)} entries for {len(tokens)} tokens"
-                )
-            if any(not math.isfinite(x) or x > 0.0 for x in logps):
-                raise ValueError(f"{name} entries must be finite and <= 0")
+            values = getattr(self, name)
+            if values is not None:
+                object.__setattr__(self, name, _logp_row(name, values, len(tokens)))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -70,8 +97,9 @@ class Trajectory:
 class Group:
     """The k >= 2 completions sampled for one query.
 
-    ``step`` is an optional training-step id carried through from dumps so
-    aggregated diagnostics can be bucketed per step.
+    ``query_id`` is a string. ``step`` is an optional integer training-step
+    id carried through from dumps so aggregated diagnostics can be bucketed
+    per step.
     """
 
     query_id: str
@@ -79,6 +107,11 @@ class Group:
     step: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.query_id, str):
+            raise ValueError("query_id must be a string")
+        step = self.step
+        if step is not None and (isinstance(step, bool) or not isinstance(step, int)):
+            raise ValueError("step must be an integer when present")
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
         if len(self.trajectories) < 2:
             raise ValueError("a group needs at least two trajectories")

@@ -8,7 +8,6 @@ Parsing is streaming: memory use is bounded by the largest single group.
 from __future__ import annotations
 
 import json
-import math
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .core import DEFAULT_EPSILON, Group, SAMPLE, Trajectory, outcome_advantages, reward_stats
@@ -35,7 +34,9 @@ CSV_COLUMNS = (
     "objective_lambda",
 )
 
-_COMPLETION_KEYS = {"tokens", "reward", "logp", "logp_old", "logp_ref"}
+# wire key -> Trajectory field; ``logp`` is read into ``logp_new``
+_LOGP_KEYS = (("logp", "logp_new"), ("logp_old", "logp_old"), ("logp_ref", "logp_ref"))
+_COMPLETION_KEYS = {"tokens", "reward", *(key for key, _ in _LOGP_KEYS)}
 
 
 class RecordError(ValueError):
@@ -51,71 +52,40 @@ def _reject_constant(token: str) -> float:
     raise ValueError(f"non-finite number {token!r} not allowed")
 
 
-def _check_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValueError(f"{what} must be finite")
-    return out
-
-
-def _check_tokens(value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ValueError("tokens must be an array")
-    # Trajectory validates the token ids themselves
-    return tuple(value)
-
-
-def _check_logps(value, n_tokens: int, name: str) -> Optional[tuple[float, ...]]:
-    if value is None:
-        return None
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be an array")
-    if len(value) != n_tokens:
-        raise ValueError(f"{name} has {len(value)} entries for {n_tokens} tokens")
-    return tuple(_check_number(x, f"{name} entry") for x in value)
-
-
 def parse_group_record(obj: dict) -> Group:
-    """Validate one decoded record and build the Group."""
+    """Map one decoded record onto a Group, checking only the wire format.
+
+    Values go through as they are: ``Trajectory`` and ``Group`` check them,
+    and ``completion I:`` is put in front of their messages.
+    """
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
-    query_id = obj.get("query_id")
-    if not isinstance(query_id, str):
-        raise ValueError("query_id must be a string")
-    step = obj.get("step")
-    if step is not None and (isinstance(step, bool) or not isinstance(step, int)):
-        raise ValueError("step must be an integer when present")
     completions = obj.get("completions")
-    if not isinstance(completions, list) or len(completions) < 2:
-        raise ValueError("completions must be an array of at least two entries")
+    if not isinstance(completions, list):
+        raise ValueError("completions must be an array")
     trajectories = []
     for idx, completion in enumerate(completions):
         if not isinstance(completion, dict):
             raise ValueError(f"completion {idx} must be an object")
-        unknown = set(completion) - _COMPLETION_KEYS
+        unknown = completion.keys() - _COMPLETION_KEYS
         if unknown:
             raise ValueError(f"completion {idx} has unknown keys {sorted(unknown)}")
-        tokens = _check_tokens(completion.get("tokens"))
-        reward = _check_number(completion.get("reward"), f"completion {idx} reward")
         try:
+            if not isinstance(completion.get("tokens"), list):
+                raise ValueError("tokens must be an array")
+            logps = {}
+            for key, name in _LOGP_KEYS:
+                logps[name] = value = completion.get(key)
+                if value is not None and not isinstance(value, list):
+                    raise ValueError(f"{name} must be an array")
             trajectories.append(
-                Trajectory(
-                    tokens=tokens,
-                    reward=reward,
-                    logp_new=_check_logps(completion.get("logp"), len(tokens), "logp"),
-                    logp_old=_check_logps(
-                        completion.get("logp_old"), len(tokens), "logp_old"
-                    ),
-                    logp_ref=_check_logps(
-                        completion.get("logp_ref"), len(tokens), "logp_ref"
-                    ),
-                )
+                Trajectory(completion["tokens"], completion.get("reward"), **logps)
             )
         except ValueError as exc:
             raise ValueError(f"completion {idx}: {exc}") from None
-    return Group(query_id=query_id, trajectories=tuple(trajectories), step=step)
+    return Group(
+        query_id=obj.get("query_id"), trajectories=trajectories, step=obj.get("step")
+    )
 
 
 def iter_groups(
@@ -135,7 +105,7 @@ def iter_groups(
         try:
             obj = json.loads(line, parse_constant=_reject_constant)
             group = parse_group_record(obj)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:
             err = RecordError(line_no, str(exc))
             if strict:
                 raise err from None
@@ -153,12 +123,9 @@ def group_to_record(group: Group) -> dict:
     completions = []
     for traj in group.trajectories:
         completion: dict = {"tokens": list(traj.tokens), "reward": traj.reward}
-        if traj.logp_new is not None:
-            completion["logp"] = list(traj.logp_new)
-        if traj.logp_old is not None:
-            completion["logp_old"] = list(traj.logp_old)
-        if traj.logp_ref is not None:
-            completion["logp_ref"] = list(traj.logp_ref)
+        for key, name in _LOGP_KEYS:
+            if getattr(traj, name) is not None:
+                completion[key] = list(getattr(traj, name))
         completions.append(completion)
     record["completions"] = completions
     return record
@@ -209,12 +176,12 @@ def weight_record(
     tree = build_process_tree(group)
     assignment = assign_tokens(tree)
     steps = step_advantages(tree, assignment, group, stats)
-    weights = lambda_weights(tree, assignment)
+    weights = lambda_weights(assignment)
     config = effective_config(group, beta)
     if objective == GRPO:
         report = objective_grpo(group, advantages, config)
     else:
-        report = objective_lambda(group, tree, assignment, advantages, config)
+        report = objective_lambda(group, assignment, advantages, config)
     record: dict = {"query_id": group.query_id, "objective": objective}
     if group.step is not None:
         record["step"] = group.step

@@ -10,7 +10,7 @@ histograms, so partial summaries computed in parallel combine exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -179,16 +179,7 @@ class MetricsSummary:
             proportion_sum=self.proportion_sum + other.proportion_sum,
             depth_hist=dict(self.depth_hist),
             proportion_hist=dict(self.proportion_hist),
-            per_step={
-                step: StepSeriesEntry(
-                    e.group_count,
-                    e.trajectory_count,
-                    e.trivial_count,
-                    e.depth_sum,
-                    e.proportion_sum,
-                )
-                for step, e in self.per_step.items()
-            },
+            per_step={step: replace(e) for step, e in self.per_step.items()},
         )
         for depth, count in other.depth_hist.items():
             merged.depth_hist[depth] = merged.depth_hist.get(depth, 0) + count
@@ -197,16 +188,8 @@ class MetricsSummary:
                 merged.proportion_hist.get(bucket, 0) + count
             )
         for step, entry in other.per_step.items():
-            if step in merged.per_step:
-                merged.per_step[step] = merged.per_step[step].merge(entry)
-            else:
-                merged.per_step[step] = StepSeriesEntry(
-                    entry.group_count,
-                    entry.trajectory_count,
-                    entry.trivial_count,
-                    entry.depth_sum,
-                    entry.proportion_sum,
-                )
+            mine = merged.per_step.get(step)
+            merged.per_step[step] = replace(entry) if mine is None else mine.merge(entry)
         return merged
 
     @property
@@ -284,28 +267,21 @@ class MetricsSummary:
     def from_dict(cls, data: dict) -> "MetricsSummary":
         """Rebuild a summary from ``to_mergeable_dict`` output.
 
-        Raises ValueError naming the first missing field.
+        Raises ValueError naming the first missing or wrongly typed field.
         """
         if not isinstance(data, dict):
             raise ValueError("summary must be a JSON object")
         try:
             summary = cls(
-                group_count=data["group_count"],
-                trajectory_count=data["trajectory_count"],
-                trivial_count=data["trivial_count"],
-                zero_length_count=data["zero_length_count"],
-                depth_sum=data["depth_sum"],
-                proportion_sum=Fraction(data["proportion_sum"]),
-                depth_hist={int(k): v for k, v in data["depth_hist"].items()},
-                proportion_hist={int(k): v for k, v in data["proportion_hist"].items()},
+                **_entry(data, _COUNT_FIELDS),
+                depth_hist=_hist(data, "depth_hist"),
+                proportion_hist=_hist(data, "proportion_hist"),
             )
-            for step, entry in data.get("per_step_raw", {}).items():
-                summary.per_step[int(step)] = StepSeriesEntry(
-                    group_count=entry["group_count"],
-                    trajectory_count=entry["trajectory_count"],
-                    trivial_count=entry["trivial_count"],
-                    depth_sum=entry["depth_sum"],
-                    proportion_sum=Fraction(entry["proportion_sum"]),
+            per_step = _typed(data.get("per_step_raw", {}), dict, "per_step_raw")
+            for step, entry in per_step.items():
+                label = f"per_step_raw.{step}"
+                summary.per_step[_int_key(step, "per_step_raw")] = StepSeriesEntry(
+                    **_entry(_typed(entry, dict, label), _STEP_COUNT_FIELDS, label + ".")
                 )
         except KeyError as exc:
             raise ValueError(f"summary is missing field {exc.args[0]!r}") from None
@@ -331,6 +307,42 @@ class MetricsSummary:
             for step, e in sorted(self.per_step.items())
         }
         return doc
+
+
+_STEP_COUNT_FIELDS = ("group_count", "trajectory_count", "trivial_count", "depth_sum")
+_COUNT_FIELDS = (*_STEP_COUNT_FIELDS, "zero_length_count")
+
+
+def _typed(value, kind: type, label: str):
+    """``value`` if it is a ``kind`` and not a bool, else a ValueError naming ``label``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = {int: "an integer", str: "a fraction string"}.get(kind, "an object")
+        raise ValueError(f"summary field {label!r} must be {what}, got {value!r}")
+    return value
+
+
+def _int_key(key: str, label: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"summary field {label!r} has a non-integer key {key!r}") from None
+
+
+def _entry(data: dict, counts: tuple[str, ...], prefix: str = "") -> dict:
+    """The counts and exact proportion sum of a summary or a per-step entry."""
+    fields = {name: _typed(data[name], int, prefix + name) for name in counts}
+    label = prefix + "proportion_sum"
+    text = _typed(data["proportion_sum"], str, label)
+    try:
+        fields["proportion_sum"] = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"summary field {label!r} is not a fraction: {text!r}") from None
+    return fields
+
+
+def _hist(data: dict, name: str) -> dict[int, int]:
+    hist = _typed(data[name], dict, name)
+    return {_int_key(k, name): _typed(v, int, f"{name}.{k}") for k, v in hist.items()}
 
 
 def _quantile_rank(q: float, n: int) -> Optional[int]:

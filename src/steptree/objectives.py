@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .core import Group
 from .rewards import StepAdvantages
-from .tree import ProcessTree, TokenAssignment
+from .tree import TokenAssignment
 
 GRPO = "grpo"
 PRM = "prm"
@@ -109,9 +109,7 @@ def kl_terms(group: Group, config: ObjectiveConfig) -> list[list[float]]:
     return rows
 
 
-def lambda_weights(
-    tree: ProcessTree, assignment: TokenAssignment
-) -> list[list[float]]:
+def lambda_weights(assignment: TokenAssignment) -> list[list[float]]:
     """Per-token weights 1/|owning process set|, each in (0, 1]."""
     return [[1.0 / node.size for node in row] for row in assignment.owners]
 
@@ -183,7 +181,6 @@ def objective_prm(
 
 def objective_lambda(
     group: Group,
-    tree: ProcessTree,
     assignment: TokenAssignment,
     advantages: Sequence[float],
     config: ObjectiveConfig,

@@ -233,7 +233,7 @@ def _token_weights(group: Group, objective: str) -> list[list[float]]:
     if objective == GRPO:
         return [[1.0] * len(t) for t in group.trajectories]
     tree = build_process_tree(group)
-    return lambda_weights(tree, assign_tokens(tree))
+    return lambda_weights(assign_tokens(tree))
 
 
 def _add_score(
@@ -470,11 +470,8 @@ def run_experiment(
         if config.objective == GRPO:
             value = objective_grpo(group, advantages, obj_config).value
         else:
-            tree = build_process_tree(group)
-            assignment = assign_tokens(tree)
-            value = objective_lambda(
-                group, tree, assignment, advantages, obj_config
-            ).value
+            assignment = assign_tokens(build_process_tree(group))
+            value = objective_lambda(group, assignment, advantages, obj_config).value
         records.append(
             SimStepRecord(
                 step=step,

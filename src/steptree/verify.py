@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 from .core import (
     DEFAULT_EPSILON,
     Group,
+    RewardStats,
     SAMPLE,
     Trajectory,
     group_from_sequences,
@@ -39,7 +40,14 @@ from .objectives import (
     ratio_terms,
 )
 from .rewards import step_advantages, step_rewards
-from .tree import ProcessTree, assign_tokens, build_process_tree, is_trivial, partition_at
+from .tree import (
+    ProcessNode,
+    ProcessTree,
+    assign_tokens,
+    build_process_tree,
+    is_trivial,
+    partition_at,
+)
 
 BERNOULLI = "bernoulli"
 UNIFORM = "uniform"
@@ -55,6 +63,8 @@ IDENTITY_TOL = 1e-12
 
 _REL_FLOOR = 1e-30
 _DEGENERATE_DRAW = 0.05
+
+Rows = Sequence[Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -295,20 +305,18 @@ class VerificationReport:
 def _prm_value_by_nodes(
     group: Group,
     tree: ProcessTree,
-    config: ObjectiveConfig,
-    std_mode: str,
-    epsilon: float,
+    stats: RewardStats,
+    p: Rows,
+    d: Rows,
+    beta: float,
 ) -> float:
     """Step-advantage objective summed node by node over the tree.
 
     Independent evaluation order for the equivalence check: iterates
     process sets and their spans, never touching outcome advantages.
+    ``p`` and ``d`` are the ratio and KL rows of the group.
     """
-    stats = reward_stats(group, std_mode, epsilon)
     rewards = step_rewards(tree, group)
-    p = ratio_terms(group, config)
-    d = kl_terms(group, config)
-    beta = config.beta
     terms = []
     for node in tree.nodes:
         if node.span_len == 0:
@@ -325,7 +333,6 @@ def _prm_value_by_nodes(
 def verify_equivalence(
     group: Group,
     config: ObjectiveConfig,
-    tol: float = DEFAULT_TOL,
     std_mode: str = SAMPLE,
     epsilon: float = DEFAULT_EPSILON,
 ) -> VerificationEntry:
@@ -335,15 +342,17 @@ def verify_equivalence(
     tree nodes. Equality certifies that the outcome-level objective already
     optimizes the step-level rewards induced by the prefix structure.
 
-    Gaps are returned, never raised; ``tol`` takes effect when the entry is
-    recorded into a VerificationReport.
+    Gaps are returned, never raised; the tolerance takes effect when the
+    entry is recorded into a VerificationReport.
     """
     stats = reward_stats(group, std_mode, epsilon)
     adv = outcome_advantages(group, stats)
     grpo_report = objective_grpo(group, adv, config)
     value_grpo = grpo_report.value
     tree = build_process_tree(group)
-    value_prm = _prm_value_by_nodes(group, tree, config, std_mode, epsilon)
+    value_prm = _prm_value_by_nodes(
+        group, tree, stats, ratio_terms(group, config), kl_terms(group, config), config.beta
+    )
     scale = _term_scale(grpo_report.per_token_terms, group.total_tokens)
     return VerificationEntry(
         label="equivalence",
@@ -357,28 +366,26 @@ def verify_equivalence(
 
 def _partition_value(
     group: Group,
-    tree: ProcessTree,
+    partitions: Sequence[Sequence[ProcessNode]],
     rewards: Sequence[float],
-    config: ObjectiveConfig,
+    stats: RewardStats,
+    adv: Sequence[float],
+    p: Rows,
+    d: Rows,
+    beta: float,
     kind: str,
-    std_mode: str,
-    epsilon: float,
 ) -> float:
     """Objective evaluated position-major over the span partitions.
 
     ``kind`` selects the per-term form: outcome advantages, step
     advantages, or the grouped set-size-corrected form where each process
-    set contributes one term per position. ``rewards`` are the step
-    rewards indexed by node id.
+    set contributes one term per position. ``partitions[t]`` is the span
+    partition at position t, ``rewards`` are the step rewards indexed by
+    node id, and ``p`` and ``d`` are the ratio and KL rows of the group.
     """
-    stats = reward_stats(group, std_mode, epsilon)
-    adv = outcome_advantages(group, stats)
-    p = ratio_terms(group, config)
-    d = kl_terms(group, config)
-    beta = config.beta
     terms = []
-    for t in range(tree.max_len):
-        for node in partition_at(tree, t):
+    for t, partition in enumerate(partitions):
+        for node in partition:
             members = node.sorted_members()
             if kind == "grpo":
                 terms.extend(p[i][t] * adv[i] - beta * d[i][t] for i in members)
@@ -396,7 +403,6 @@ def _partition_value(
 def verify_proof_identities(
     group: Group,
     config: ObjectiveConfig,
-    tol: float = IDENTITY_TOL,
     std_mode: str = SAMPLE,
     epsilon: float = DEFAULT_EPSILON,
 ) -> VerificationEntry:
@@ -444,15 +450,16 @@ def verify_proof_identities(
     prm_report = objective_prm(
         group, step_advantages(tree, assignment, group, stats), config
     )
-    lambda_report = objective_lambda(group, tree, assignment, adv, config)
+    lambda_report = objective_lambda(group, assignment, adv, config)
     total = group.total_tokens
+    partitions = [partition_at(tree, t) for t in range(tree.max_len)]
     for kind, report in (
         ("grpo", grpo_report),
         ("prm", prm_report),
         ("lambda", lambda_report),
     ):
         position_major = _partition_value(
-            group, tree, rewards, config, kind, std_mode, epsilon
+            group, partitions, rewards, stats, adv, p, d, beta, kind
         )
         scale = _term_scale(report.per_token_terms, total)
         worst = max(worst, _rel_gap(report.value, position_major, scale))
@@ -518,25 +525,13 @@ def run_verification(
         equivalence.record(
             params.seed,
             index,
-            worst(
-                [
-                    verify_equivalence(group, config, tol, std_mode, epsilon)
-                    for config in configs
-                ]
-            ),
+            worst([verify_equivalence(group, c, std_mode, epsilon) for c in configs]),
         )
         if identities is not None:
             identities.record(
                 params.seed,
                 index,
-                worst(
-                    [
-                        verify_proof_identities(
-                            group, config, identity_tol, std_mode, epsilon
-                        )
-                        for config in configs
-                    ]
-                ),
+                worst([verify_proof_identities(group, c, std_mode, epsilon) for c in configs]),
             )
 
     for offset, group in enumerate(degenerate_groups(needs_logps)):

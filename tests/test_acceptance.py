@@ -68,7 +68,7 @@ def full_reports(group, config=UNIT):
     return (
         objective_grpo(group, adv, config),
         objective_prm(group, steps, config),
-        objective_lambda(group, tree, assignment, adv, config),
+        objective_lambda(group, assignment, adv, config),
     )
 
 

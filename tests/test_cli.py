@@ -88,6 +88,80 @@ class TestAnalyze:
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
+GOOD_COMPLETION = {"tokens": [1, 2], "reward": 0.5, "logp": [-0.1, -0.2]}
+
+
+def _bad_completion(**fields) -> str:
+    completion = {"tokens": [3], "reward": 0.0, **fields}
+    return json.dumps({"query_id": "bad", "completions": [GOOD_COMPLETION, completion]})
+
+
+def _bad_record(**fields) -> str:
+    record = {"query_id": "bad", "completions": [GOOD_COMPLETION, GOOD_COMPLETION]}
+    return json.dumps({**record, **fields})
+
+
+# (line 2 of a dump, the text its error must carry after "line 2: ")
+MALFORMED_LINES = {
+    "bool-reward": (_bad_completion(reward=True), "completion 1: reward must be a number"),
+    "str-reward": (_bad_completion(reward="0.5"), "completion 1: reward must be a number"),
+    "missing-reward": (_bad_completion(reward=None), "completion 1: reward must be a number"),
+    "inf-reward": (
+        _bad_completion().replace('"reward": 0.0', '"reward": 1e999'),
+        "completion 1: reward must be finite",
+    ),
+    "huge-int-reward": (
+        _bad_completion().replace('"reward": 0.0', '"reward": 1' + "0" * 400),
+        "completion 1: reward must be finite",
+    ),
+    "str-logp": (_bad_completion(logp=["-0.5"]), "completion 1: logp_new entry must be a number"),
+    "logp-length": (
+        _bad_completion(logp_old=[-0.1, -0.2]),
+        "completion 1: logp_old has 2 entries for 1 tokens",
+    ),
+    "positive-logp": (
+        _bad_completion(logp_ref=[0.5]),
+        "completion 1: logp_ref entries must be finite and <= 0",
+    ),
+    "non-array-logp": (_bad_completion(logp="x"), "completion 1: logp_new must be an array"),
+    "float-token": (_bad_completion(tokens=[1.5]), "completion 1: token ids must be integers"),
+    "negative-token": (_bad_completion(tokens=[-1]), "completion 1: token ids must be non-negative"),
+    "non-array-tokens": (_bad_completion(tokens="3"), "completion 1: tokens must be an array"),
+    "int-query-id": (_bad_record(query_id=5), "query_id must be a string"),
+    "bool-step": (_bad_record(step=True), "step must be an integer"),
+    "one-completion": (
+        _bad_record(completions=[GOOD_COMPLETION]),
+        "a group needs at least two trajectories",
+    ),
+    "deep-nesting": ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+}
+
+
+class TestMalformedLines:
+    @pytest.fixture(params=MALFORMED_LINES)
+    def bad_dump(self, request, tmp_path):
+        line, expected = MALFORMED_LINES[request.param]
+        good = serialize_group(make_overlap_group())
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{good}\n{line}\n{good}\n", encoding="utf-8")
+        return path, expected
+
+    def test_strict_names_line_completion_and_field(self, bad_dump, capsys):
+        path, expected = bad_dump
+        assert main(["analyze", str(path), "--strict"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 2: {expected}")
+
+    def test_lenient_skips_only_the_bad_line(self, bad_dump, capsys):
+        path, expected = bad_dump
+        assert main(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert [r["query_id"] for r in rows] == ["overlap", "overlap"]
+        assert "skipped 1 malformed line(s)" in captured.err
+        assert f"line 2: {expected}" in captured.err
+
+
 class TestTree:
     def test_dot_export(self, dump, capsys):
         code = main(["tree", str(dump), "--group-id", "overlap", "--format", "dot"])
@@ -161,6 +235,30 @@ class TestVerify:
         code = main(["verify", str(path)])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
+
+    def test_ratio_terms_only_in_verify(self, tmp_path, capsys):
+        # logp_old far from logp: ratio terms would change every objective
+        with_old = [
+            {"tokens": [1, 2], "reward": 1.0, "logp": [-0.5, -0.5], "logp_old": [-1.5, -0.5]},
+            {"tokens": [1, 3], "reward": 0.0, "logp": [-2.5, -0.5], "logp_old": [-0.2, -0.5]},
+        ]
+        without_old = [{k: v for k, v in c.items() if k != "logp_old"} for c in with_old]
+        outputs = {}
+        for name, completions in (("with", with_old), ("without", without_old)):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(
+                json.dumps({"query_id": "q", "completions": completions}) + "\n",
+                encoding="utf-8",
+            )
+            assert main(["analyze", str(path)]) == 0
+            assert main(["weights", str(path), "--objective", "lambda"]) == 0
+            outputs[name] = capsys.readouterr().out
+            outputs[name + "-verify"] = main(["verify", str(path)])
+            capsys.readouterr()
+        # analyze and weights use unit ratios; verify applies the ratio terms
+        assert outputs["with"] == outputs["without"]
+        assert outputs["with-verify"] == 1
+        assert outputs["without-verify"] == 0
 
     def test_needs_input_or_random(self, capsys):
         assert main(["verify"]) == 2
@@ -250,6 +348,21 @@ class TestSimulate:
         assert "scenario" in capsys.readouterr().err
 
 
+def _summary_text(**fields) -> str:
+    """An empty mergeable summary, with ``fields`` overridden."""
+    summary = {
+        "group_count": 0,
+        "trajectory_count": 0,
+        "trivial_count": 0,
+        "zero_length_count": 0,
+        "depth_sum": 0,
+        "proportion_sum": "0",
+        "depth_hist": {},
+        "proportion_hist": {},
+    }
+    return json.dumps({**summary, **fields})
+
+
 class TestReport:
     def test_merge_matches_single_pass(self, tmp_path):
         groups = [make_overlap_group(step=1), make_trivial_group(), make_trivial_group(k=3)]
@@ -286,7 +399,19 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "text, named",
-        [('{"group_count": 1}', "trajectory_count"), ("[]", "JSON object")],
+        [
+            ('{"group_count": 1}', "trajectory_count"),
+            ("[]", "JSON object"),
+            pytest.param(_summary_text(group_count="x"), "group_count", id="str-count"),
+            pytest.param(_summary_text(trivial_count=True), "trivial_count", id="bool-count"),
+            pytest.param(_summary_text(depth_hist=[]), "depth_hist", id="array-hist"),
+            pytest.param(
+                _summary_text(proportion_hist={"3": "1"}), "proportion_hist", id="str-hist-count"
+            ),
+            pytest.param(_summary_text(depth_hist={"x": 1}), "depth_hist", id="str-hist-key"),
+            pytest.param(_summary_text(proportion_sum="1/0"), "proportion_sum", id="bad-fraction"),
+            pytest.param(_summary_text(per_step_raw={"1": []}), "per_step_raw", id="array-step"),
+        ],
     )
     def test_malformed_summary_is_an_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "summary.json"

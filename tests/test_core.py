@@ -145,6 +145,45 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             Trajectory(tokens=(1,), reward=float("nan"))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"reward": "0.5"}, "reward must be a number"),
+            ({"reward": True}, "reward must be a number"),
+            ({"reward": None}, "reward must be a number"),
+            ({"reward": 10**400}, "reward must be finite"),
+            ({"logp_new": ("-0.5",)}, "logp_new entry must be a number"),
+            ({"logp_old": (False,)}, "logp_old entry must be a number"),
+            ({"logp_ref": (-(10**400),)}, "logp_ref entries must be finite"),
+        ],
+        ids=["str-reward", "bool-reward", "no-reward", "huge-int-reward", "str-logp",
+             "bool-logp", "huge-int-logp"],
+    )
+    def test_non_numbers_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Trajectory(**{"tokens": (1,), "reward": 0.0, **kwargs})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"query_id": 5}, "query_id must be a string"),
+            ({"step": "x"}, "step must be an integer"),
+            ({"step": True}, "step must be an integer"),
+        ],
+        ids=["int-query-id", "str-step", "bool-step"],
+    )
+    def test_group_fields_checked(self, kwargs, message):
+        pair = (Trajectory(tokens=(1,), reward=0.0), Trajectory(tokens=(2,), reward=1.0))
+        with pytest.raises(ValueError, match=message):
+            Group(**{"query_id": "q", "trajectories": pair, **kwargs})
+
+    def test_ints_stored_as_floats(self):
+        traj = Trajectory(tokens=[3, 4], reward=-1, logp_new=[-0.25, -1])
+        assert traj.tokens == (3, 4)
+        assert type(traj.reward) is float and traj.reward == -1.0
+        assert traj.logp_new == (-0.25, -1.0)
+        assert all(type(x) is float for x in traj.logp_new)
+
     def test_zero_length_trajectory_allowed(self):
         traj = Trajectory(tokens=(), reward=1.0, logp_new=())
         assert len(traj) == 0

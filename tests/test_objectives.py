@@ -41,7 +41,7 @@ def full_eval(group, config=UNIT):
     return (
         objective_grpo(group, adv, config),
         objective_prm(group, steps, config),
-        objective_lambda(group, tree, assignment, adv, config),
+        objective_lambda(group, assignment, adv, config),
         assignment,
     )
 
@@ -237,20 +237,20 @@ class TestObjectiveLambda:
 class TestLambdaWeights:
     def test_overlap_samples(self, overlap_group):
         tree = build_process_tree(overlap_group)
-        weights = lambda_weights(tree, assign_tokens(tree))
+        weights = lambda_weights(assign_tokens(tree))
         assert weights[2][0] == pytest.approx(1.0 / 3.0)
         assert weights[3][4] == 0.5
         assert weights[0][3] == 1.0
 
     def test_trivial_all_ones(self, trivial_group):
         tree = build_process_tree(trivial_group)
-        weights = lambda_weights(tree, assign_tokens(tree))
+        weights = lambda_weights(assign_tokens(tree))
         assert all(w == 1.0 for row in weights for w in row)
 
     def test_identical_trajectories_share_equally(self):
         group = group_from_sequences("same", [(7, 7)] * 4, [1.0, 0.0, 1.0, 0.0])
         tree = build_process_tree(group)
-        weights = lambda_weights(tree, assign_tokens(tree))
+        weights = lambda_weights(assign_tokens(tree))
         assert all(w == 0.25 for row in weights for w in row)
 
     def test_in_unit_interval(self):
@@ -258,5 +258,5 @@ class TestLambdaWeights:
         for index in range(20):
             group = generate_random_group(params, index)
             tree = build_process_tree(group)
-            weights = lambda_weights(tree, assign_tokens(tree))
+            weights = lambda_weights(assign_tokens(tree))
             assert all(0.0 < w <= 1.0 for row in weights for w in row)

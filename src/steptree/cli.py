@@ -36,6 +36,7 @@ from .objectives import (
     LAMBDA,
     objective_grpo,
     objective_lambda,
+    token_terms,
 )
 from .rewards import step_rewards
 from .sim import (
@@ -199,10 +200,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             summary.add(metrics)
             stats = reward_stats(group, args.std, args.eps)
             advantages = outcome_advantages(group, stats)
-            config = effective_config(group, args.beta)
+            terms = token_terms(group, effective_config(group, args.beta))
             assignment = assign_tokens(tree)
-            value_grpo = objective_grpo(group, advantages, config).value
-            value_lambda = objective_lambda(group, assignment, advantages, config).value
+            value_grpo = objective_grpo(group, advantages, terms).value
+            value_lambda = objective_lambda(group, assignment, advantages, terms).value
             writer.writerow(
                 _csv_cell(v)
                 for v in (
@@ -245,8 +246,8 @@ def _print_report(name: str, report: Optional[VerificationReport]) -> None:
         f"{name}: {report.groups_checked} group(s), {report.trivial_count} trivial, "
         f"max rel gap {report.max_rel_gap:.3e} (tol {report.tol:.1e}) ... {status}"
     )
-    for seed, index, gap in report.failures[:5]:
-        print(f"  failure: seed={seed} index={index} rel_gap={gap:.3e}")
+    for query_id, gap in report.failures[:5]:
+        print(f"  failure: query_id={query_id} rel_gap={gap:.3e}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -274,18 +275,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         identities = (
             None if args.skip_identities else VerificationReport(tol=IDENTITY_TOL)
         )
-        for index, group in enumerate(_read_groups(args.input, args.strict)):
-            config = effective_config(group, args.beta, assume_unit_ratio=False)
-            equivalence.record(
-                args.seed,
-                index,
-                verify_equivalence(group, config, args.std, args.eps),
-            )
+        for group in _read_groups(args.input, args.strict):
+            configs = [effective_config(group, args.beta, assume_unit_ratio=False)]
+            equivalence.record(verify_equivalence(group, configs, args.std, args.eps))
             if identities is not None:
                 identities.record(
-                    args.seed,
-                    index,
-                    verify_proof_identities(group, config, args.std, args.eps),
+                    verify_proof_identities(group, configs, args.std, args.eps)
                 )
     _print_report("equivalence", equivalence)
     _print_report("identities", identities)

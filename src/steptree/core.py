@@ -161,6 +161,8 @@ def reward_stats(
     """Mean and std of the group's outcome rewards."""
     if std_mode not in STD_MODES:
         raise ValueError(f"std_mode must be one of {STD_MODES}, got {std_mode!r}")
+    if not math.isfinite(epsilon) or epsilon < 0.0:
+        raise ValueError("epsilon must be finite and >= 0")
     rewards = group.rewards
     k = len(rewards)
     mean = math.fsum(rewards) / k

@@ -8,6 +8,7 @@ Parsing is streaming: memory use is bounded by the largest single group.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .core import DEFAULT_EPSILON, Group, SAMPLE, Trajectory, outcome_advantages, reward_stats
@@ -18,6 +19,7 @@ from .objectives import (
     lambda_weights,
     objective_grpo,
     objective_lambda,
+    token_terms,
 )
 from .rewards import step_advantages
 from .tree import assign_tokens, build_process_tree
@@ -142,7 +144,8 @@ def effective_config(group: Group, beta: float, assume_unit_ratio: bool = True) 
     Ratio terms are only computed when every completion carries both logp
     and logp_old; the KL term is dropped when any completion lacks logp or
     logp_ref. This keeps file-level commands usable on bare token/reward
-    dumps while the library-level evaluators stay strict.
+    dumps while the library-level evaluators stay strict. The requested
+    beta is checked even where it is dropped.
     """
     have_ratio = all(
         t.logp_new is not None and t.logp_old is not None for t in group.trajectories
@@ -150,10 +153,10 @@ def effective_config(group: Group, beta: float, assume_unit_ratio: bool = True) 
     have_ref = all(
         t.logp_new is not None and t.logp_ref is not None for t in group.trajectories
     )
-    return ObjectiveConfig(
-        beta=beta if have_ref else 0.0,
-        assume_unit_ratio=assume_unit_ratio or not have_ratio,
+    config = ObjectiveConfig(
+        beta=beta, assume_unit_ratio=assume_unit_ratio or not have_ratio
     )
+    return config if have_ref else replace(config, beta=0.0)
 
 
 def weight_record(
@@ -177,11 +180,11 @@ def weight_record(
     assignment = assign_tokens(tree)
     steps = step_advantages(tree, assignment, group, stats)
     weights = lambda_weights(assignment)
-    config = effective_config(group, beta)
+    terms = token_terms(group, effective_config(group, beta))
     if objective == GRPO:
-        report = objective_grpo(group, advantages, config)
+        report = objective_grpo(group, advantages, terms)
     else:
-        report = objective_lambda(group, assignment, advantages, config)
+        report = objective_lambda(group, assignment, advantages, terms)
     record: dict = {"query_id": group.query_id, "objective": objective}
     if group.step is not None:
         record["step"] = group.step
@@ -190,7 +193,7 @@ def weight_record(
     record["completions"] = [
         {
             "advantage": advantages[i],
-            "token_advantage": list(steps.token_advantage[i]),
+            "token_advantage": list(steps[i]),
             "lambda_weight": list(weights[i]),
         }
         for i in range(group.k)

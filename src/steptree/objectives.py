@@ -5,7 +5,9 @@ All three are one token sum with the per-token term
 ``(P[i][t] * A[i][t] - beta * D[i][t]) / s[i][t]``. They differ only in the
 advantage ``A`` (the outcome advantage a_i for GRPO and the set-size
 corrected form, the step advantage for the PRM form) and the divisor ``s``
-(1, or |owning set| for the set-size corrected form). Reported values are
+(1, or |owning set| for the set-size corrected form). The P and D rows are
+built once per (group, config) by ``token_terms`` and passed to every
+objective evaluated on that pair. Reported values are
 token means of these terms and are objectives to *maximize*;
 ``ObjectiveReport.loss`` is the negation for trainers that minimize.
 
@@ -18,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Group
-from .rewards import StepAdvantages
 from .tree import TokenAssignment
 
 GRPO = "grpo"
@@ -109,6 +110,19 @@ def kl_terms(group: Group, config: ObjectiveConfig) -> list[list[float]]:
     return rows
 
 
+class TokenTerms(NamedTuple):
+    """Ratio rows P, KL rows D and the KL coefficient of one (group, config)."""
+
+    ratio: list[list[float]]
+    kl: list[list[float]]
+    beta: float
+
+
+def token_terms(group: Group, config: ObjectiveConfig) -> TokenTerms:
+    """The ratio and KL rows of the group under the config."""
+    return TokenTerms(ratio_terms(group, config), kl_terms(group, config), config.beta)
+
+
 def lambda_weights(assignment: TokenAssignment) -> list[list[float]]:
     """Per-token weights 1/|owning process set|, each in (0, 1]."""
     return [[1.0 / node.size for node in row] for row in assignment.owners]
@@ -119,16 +133,14 @@ def _token_sum(
     group: Group,
     advantage_rows: Iterable[Iterable[float]],
     divisor_rows: Iterable[Iterable[float]],
-    config: ObjectiveConfig,
+    terms: TokenTerms,
 ) -> ObjectiveReport:
     """Token mean of (P * A - beta * D) / s over the whole group.
 
     Rows are per completion; advantage and divisor rows may be endless
     (``itertools.repeat``), since each is cut to its completion's length.
     """
-    p = ratio_terms(group, config)
-    d = kl_terms(group, config)
-    beta = config.beta
+    p, d, beta = terms
     term_rows = tuple(
         tuple(
             (p_t * a_t - beta * d_t) / s_t
@@ -155,18 +167,18 @@ def _token_sum(
 def objective_grpo(
     group: Group,
     advantages: Sequence[float],
-    config: ObjectiveConfig,
+    terms: TokenTerms,
 ) -> ObjectiveReport:
     """Token-mean of P * a_i - beta * D with outcome advantages a_i."""
     return _token_sum(
-        GRPO, group, [repeat(a) for a in advantages], [repeat(1)] * group.k, config
+        GRPO, group, [repeat(a) for a in advantages], [repeat(1)] * group.k, terms
     )
 
 
 def objective_prm(
     group: Group,
-    advantages: StepAdvantages,
-    config: ObjectiveConfig,
+    step_advantage_rows: Sequence[Sequence[float]],
+    terms: TokenTerms,
 ) -> ObjectiveReport:
     """Token-mean of P * A[i][t] - beta * D with step advantages A[i][t].
 
@@ -174,16 +186,14 @@ def objective_prm(
     advantage by the owning set's mean advantage redistributes the same
     total within every shared span.
     """
-    return _token_sum(
-        PRM, group, advantages.token_advantage, [repeat(1)] * group.k, config
-    )
+    return _token_sum(PRM, group, step_advantage_rows, [repeat(1)] * group.k, terms)
 
 
 def objective_lambda(
     group: Group,
     assignment: TokenAssignment,
     advantages: Sequence[float],
-    config: ObjectiveConfig,
+    terms: TokenTerms,
 ) -> ObjectiveReport:
     """GRPO with every token's term divided by its owning set size.
 
@@ -193,4 +203,4 @@ def objective_lambda(
     of in proportion to their size.
     """
     sizes = ([node.size for node in row] for row in assignment.owners)
-    return _token_sum(LAMBDA, group, [repeat(a) for a in advantages], sizes, config)
+    return _token_sum(LAMBDA, group, [repeat(a) for a in advantages], sizes, terms)

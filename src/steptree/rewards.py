@@ -10,7 +10,6 @@ statistics).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import Group, RewardStats, normalized_advantage
 from .tree import ProcessNode, ProcessTree, TokenAssignment
@@ -32,39 +31,19 @@ def step_rewards(tree: ProcessTree, group: Group) -> tuple[float, ...]:
     )
 
 
-@dataclass(eq=False)
-class StepAdvantages:
-    """Per-token step rewards R[i][t] and step advantages A[i][t]."""
-
-    token_reward: tuple[tuple[float, ...], ...]
-    token_advantage: tuple[tuple[float, ...], ...]
-
-    def reward(self, i: int, t: int) -> float:
-        return self.token_reward[i][t]
-
-    def advantage(self, i: int, t: int) -> float:
-        return self.token_advantage[i][t]
-
-
 def step_advantages(
     tree: ProcessTree,
     assignment: TokenAssignment,
     group: Group,
     stats: RewardStats,
-) -> StepAdvantages:
-    """Token-level reward/advantage maps covering the whole group.
+) -> tuple[tuple[float, ...], ...]:
+    """Step advantage A[i][t] of every token, one row per completion.
 
-    Tokens owned by singleton nodes recover the outcome reward and the
-    outcome advantage exactly; shared spans receive the owning set's
-    Monte-Carlo mean instead.
+    Tokens owned by singleton nodes recover the outcome advantage exactly;
+    shared spans receive the normalized Monte-Carlo mean reward of their
+    owning set instead.
     """
-    rewards = step_rewards(tree, group)
-    node_adv = [normalized_advantage(r, stats) for r in rewards]
-    return StepAdvantages(
-        token_reward=tuple(
-            [tuple([rewards[n.node_id] for n in row]) for row in assignment.owners]
-        ),
-        token_advantage=tuple(
-            [tuple([node_adv[n.node_id] for n in row]) for row in assignment.owners]
-        ),
+    node_adv = [normalized_advantage(r, stats) for r in step_rewards(tree, group)]
+    return tuple(
+        [tuple([node_adv[n.node_id] for n in row]) for row in assignment.owners]
     )

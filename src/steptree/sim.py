@@ -34,6 +34,7 @@ from .objectives import (
     lambda_weights,
     objective_grpo,
     objective_lambda,
+    token_terms,
 )
 from .tree import ProcessNode, ProcessTree, assign_tokens, build_process_tree
 
@@ -457,8 +458,16 @@ def run_experiment(
     Each row reports the policy used for that step's sampling (expected
     reward and the probability of the best table sequence) together with
     the sampled group's objective value; the policy is updated in place.
+    Reward-table tokens outside the policy's vocabulary are rejected.
     """
+    for seq in env.reward_table:
+        if any(not 0 <= tok < policy.vocab_size for tok in seq):
+            raise ValueError(
+                f"reward sequence {seq} has a token outside the vocabulary "
+                f"[0, {policy.vocab_size})"
+            )
     best = best_sequence(env)
+    obj_config = ObjectiveConfig(beta=0.0, assume_unit_ratio=True)
     records = []
     for step in range(config.steps):
         group = rollout_group(
@@ -466,12 +475,12 @@ def run_experiment(
         )
         stats = reward_stats(group, config.std_mode, config.epsilon)
         advantages = outcome_advantages(group, stats)
-        obj_config = ObjectiveConfig(beta=0.0, assume_unit_ratio=True)
+        terms = token_terms(group, obj_config)
         if config.objective == GRPO:
-            value = objective_grpo(group, advantages, obj_config).value
+            value = objective_grpo(group, advantages, terms).value
         else:
             assignment = assign_tokens(build_process_tree(group))
-            value = objective_lambda(group, assignment, advantages, obj_config).value
+            value = objective_lambda(group, assignment, advantages, terms).value
         records.append(
             SimStepRecord(
                 step=step,

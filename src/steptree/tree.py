@@ -252,27 +252,47 @@ def _export_dot(
     return "\n".join(lines) + "\n"
 
 
-def _node_dict(
-    node: ProcessNode, group: Group, step_rewards: Sequence[float]
-) -> dict:
-    return {
-        "id": node.node_id,
-        "members": node.sorted_members(),
-        "span_start": node.span_start,
-        "span_end": node.span_end,
-        "tokens": _span_tokens(node, group),
-        "step_reward": step_rewards[node.node_id],
-        "children": [_node_dict(c, group, step_rewards) for c in node.children],
-    }
-
-
 def _export_json(
     tree: ProcessTree, group: Group, step_rewards: Sequence[float]
 ) -> str:
-    doc = {
-        "query_id": group.query_id,
-        "k": group.k,
-        "node_count": len(tree.nodes),
-        "root": _node_dict(tree.root, group, step_rewards),
-    }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    """The nested document as ``json.dumps(doc, indent=2)`` renders it.
+
+    Each node is rendered on its own with empty ``children`` and indented
+    to its depth; an explicit stack splices the children in, so tree depth
+    is not bounded by the interpreter's recursion limit.
+    """
+    head = json.dumps(
+        {"query_id": group.query_id, "k": group.k, "node_count": len(tree.nodes)},
+        indent=2,
+    )
+    parts = [head[:-2], ',\n  "root": ']
+    stack: list = [(tree.root, "  ")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, pad = item
+        fields = {
+            "id": node.node_id,
+            "members": node.sorted_members(),
+            "span_start": node.span_start,
+            "span_end": node.span_end,
+            "tokens": _span_tokens(node, group),
+            "step_reward": step_rewards[node.node_id],
+            "children": [],
+        }
+        text = json.dumps(fields, indent=2).replace("\n", "\n" + pad)
+        if not node.children:
+            parts.append(text)
+            continue
+        inner = pad + "    "
+        # drop the closing "[]" and "}", which follow the children
+        parts.append(text[: -len(pad) - 4] + "[\n" + inner)
+        stack.append(f"\n{pad}  ]\n{pad}}}")
+        for n, child in enumerate(reversed(node.children)):
+            if n:
+                stack.append(",\n" + inner)
+            stack.append((child, inner))
+    parts.append("\n}\n")
+    return "".join(parts)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional, Sequence
 
 from .core import (
@@ -33,11 +34,11 @@ from .core import (
 from .objectives import (
     DEFAULT_BETA,
     ObjectiveConfig,
-    kl_terms,
+    TokenTerms,
     objective_grpo,
     objective_lambda,
     objective_prm,
-    ratio_terms,
+    token_terms,
 )
 from .rewards import step_advantages, step_rewards
 from .tree import (
@@ -63,8 +64,6 @@ IDENTITY_TOL = 1e-12
 
 _REL_FLOOR = 1e-30
 _DEGENERATE_DRAW = 0.05
-
-Rows = Sequence[Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -255,9 +254,9 @@ def _term_scale(per_token_terms: Sequence[Sequence[float]], total: int) -> float
 
 @dataclass(frozen=True)
 class VerificationEntry:
-    """Result of checking one group under one configuration."""
+    """Result of checking one group, named by its query id."""
 
-    label: str
+    query_id: str
     value_a: float
     value_b: float
     abs_gap: float
@@ -274,16 +273,21 @@ class VerificationReport:
     max_abs_gap: float = 0.0
     max_rel_gap: float = 0.0
     trivial_count: int = 0
-    failures: list[tuple[int, int, float]] = field(default_factory=list)
+    failures: list[tuple[str, float]] = field(default_factory=list)
 
-    def record(self, seed: int, index: int, entry: VerificationEntry) -> None:
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.tol) or self.tol < 0.0:
+            raise ValueError("tol must be finite and >= 0")
+
+    def record(self, entry: VerificationEntry) -> None:
+        """Count one group; a gap above tol is a (query_id, rel_gap) failure."""
         self.groups_checked += 1
         self.max_abs_gap = max(self.max_abs_gap, entry.abs_gap)
         self.max_rel_gap = max(self.max_rel_gap, entry.rel_gap)
         if entry.trivial:
             self.trivial_count += 1
         if entry.rel_gap > self.tol:
-            self.failures.append((seed, index, entry.rel_gap))
+            self.failures.append((entry.query_id, entry.rel_gap))
 
     def merge(self, other: "VerificationReport") -> "VerificationReport":
         if other.tol != self.tol:
@@ -302,22 +306,40 @@ class VerificationReport:
         return not self.failures
 
 
+def _worst(
+    group: Group, tree: ProcessTree, gaps: Sequence[tuple[float, float, float, float]]
+) -> VerificationEntry:
+    """Entry of the config with the largest relative gap, and the largest abs gap.
+
+    ``gaps`` holds one (value_a, value_b, abs_gap, rel_gap) row per config.
+    """
+    value_a, value_b, _, rel_gap = max(gaps, key=lambda row: row[3])
+    return VerificationEntry(
+        query_id=group.query_id,
+        value_a=value_a,
+        value_b=value_b,
+        abs_gap=max(row[2] for row in gaps),
+        rel_gap=rel_gap,
+        trivial=is_trivial(tree),
+    )
+
+
 def _prm_value_by_nodes(
     group: Group,
     tree: ProcessTree,
+    rewards: Sequence[float],
     stats: RewardStats,
-    p: Rows,
-    d: Rows,
-    beta: float,
+    terms: TokenTerms,
 ) -> float:
     """Step-advantage objective summed node by node over the tree.
 
     Independent evaluation order for the equivalence check: iterates
     process sets and their spans, never touching outcome advantages.
-    ``p`` and ``d`` are the ratio and KL rows of the group.
+    ``rewards`` are the step rewards indexed by node id, and ``terms``
+    holds the ratio and KL rows of the group.
     """
-    rewards = step_rewards(tree, group)
-    terms = []
+    p, d, beta = terms
+    values = []
     for node in tree.nodes:
         if node.span_len == 0:
             continue
@@ -325,14 +347,14 @@ def _prm_value_by_nodes(
         members = node.sorted_members()
         for t in range(node.span_start, node.span_end):
             for i in members:
-                terms.append(p[i][t] * ahat - beta * d[i][t])
+                values.append(p[i][t] * ahat - beta * d[i][t])
     total = group.total_tokens
-    return math.fsum(terms) / total if total else 0.0
+    return math.fsum(values) / total if total else 0.0
 
 
 def verify_equivalence(
     group: Group,
-    config: ObjectiveConfig,
+    configs: Sequence[ObjectiveConfig],
     std_mode: str = SAMPLE,
     epsilon: float = DEFAULT_EPSILON,
 ) -> VerificationEntry:
@@ -342,26 +364,24 @@ def verify_equivalence(
     tree nodes. Equality certifies that the outcome-level objective already
     optimizes the step-level rewards induced by the prefix structure.
 
-    Gaps are returned, never raised; the tolerance takes effect when the
-    entry is recorded into a VerificationReport.
+    The group is checked under every config, sharing one tree, and the
+    worst entry is returned. Gaps are returned, never raised; the tolerance
+    takes effect when the entry is recorded into a VerificationReport.
     """
     stats = reward_stats(group, std_mode, epsilon)
     adv = outcome_advantages(group, stats)
-    grpo_report = objective_grpo(group, adv, config)
-    value_grpo = grpo_report.value
     tree = build_process_tree(group)
-    value_prm = _prm_value_by_nodes(
-        group, tree, stats, ratio_terms(group, config), kl_terms(group, config), config.beta
-    )
-    scale = _term_scale(grpo_report.per_token_terms, group.total_tokens)
-    return VerificationEntry(
-        label="equivalence",
-        value_a=value_grpo,
-        value_b=value_prm,
-        abs_gap=abs(value_grpo - value_prm),
-        rel_gap=_rel_gap(value_grpo, value_prm, scale),
-        trivial=is_trivial(tree),
-    )
+    rewards = step_rewards(tree, group)
+    gaps = []
+    for config in configs:
+        terms = token_terms(group, config)
+        grpo_report = objective_grpo(group, adv, terms)
+        value_grpo = grpo_report.value
+        value_prm = _prm_value_by_nodes(group, tree, rewards, stats, terms)
+        scale = _term_scale(grpo_report.per_token_terms, group.total_tokens)
+        rel_gap = _rel_gap(value_grpo, value_prm, scale)
+        gaps.append((value_grpo, value_prm, abs(value_grpo - value_prm), rel_gap))
+    return _worst(group, tree, gaps)
 
 
 def _partition_value(
@@ -370,9 +390,7 @@ def _partition_value(
     rewards: Sequence[float],
     stats: RewardStats,
     adv: Sequence[float],
-    p: Rows,
-    d: Rows,
-    beta: float,
+    terms: TokenTerms,
     kind: str,
 ) -> float:
     """Objective evaluated position-major over the span partitions.
@@ -381,28 +399,29 @@ def _partition_value(
     advantages, or the grouped set-size-corrected form where each process
     set contributes one term per position. ``partitions[t]`` is the span
     partition at position t, ``rewards`` are the step rewards indexed by
-    node id, and ``p`` and ``d`` are the ratio and KL rows of the group.
+    node id, and ``terms`` holds the ratio and KL rows of the group.
     """
-    terms = []
+    p, d, beta = terms
+    values = []
     for t, partition in enumerate(partitions):
         for node in partition:
             members = node.sorted_members()
             if kind == "grpo":
-                terms.extend(p[i][t] * adv[i] - beta * d[i][t] for i in members)
+                values.extend(p[i][t] * adv[i] - beta * d[i][t] for i in members)
             elif kind == "prm":
                 ahat = normalized_advantage(rewards[node.node_id], stats)
-                terms.extend(p[i][t] * ahat - beta * d[i][t] for i in members)
+                values.extend(p[i][t] * ahat - beta * d[i][t] for i in members)
             else:  # grouped set-size-corrected form
                 rep = members[0]
                 ahat = normalized_advantage(rewards[node.node_id], stats)
-                terms.append(p[rep][t] * ahat - beta * d[rep][t])
+                values.append(p[rep][t] * ahat - beta * d[rep][t])
     total = group.total_tokens
-    return math.fsum(terms) / total if total else 0.0
+    return math.fsum(values) / total if total else 0.0
 
 
 def verify_proof_identities(
     group: Group,
-    config: ObjectiveConfig,
+    configs: Sequence[ObjectiveConfig],
     std_mode: str = SAMPLE,
     epsilon: float = DEFAULT_EPSILON,
 ) -> VerificationEntry:
@@ -417,69 +436,63 @@ def verify_proof_identities(
     3. Scaling law: each token's outcome-advantage term equals its owning
        set size times its set-size-corrected term.
 
-    Returns the worst relative gap observed across all of them.
+    The group is checked under every config, sharing one tree, and the
+    entry of the config with the worst relative gap is returned.
     """
     stats = reward_stats(group, std_mode, epsilon)
     adv = outcome_advantages(group, stats)
     tree = build_process_tree(group)
     assignment = assign_tokens(tree)
     rewards = step_rewards(tree, group)
-    p = ratio_terms(group, config)
-    d = kl_terms(group, config)
-    beta = config.beta
-
-    worst = 0.0
-
-    # 1. per-node sums
-    for node in tree.nodes:
-        if node.span_len == 0:
-            continue
-        ahat = normalized_advantage(rewards[node.node_id], stats)
-        members = node.sorted_members()
-        rep = members[0]
-        for t in range(node.span_start, node.span_end):
-            lhs = math.fsum(p[i][t] * ahat - beta * d[i][t] for i in members)
-            rhs = node.size * (p[rep][t] * ahat - beta * d[rep][t])
-            scale = math.fsum(
-                abs(p[i][t] * ahat) + beta * d[i][t] for i in members
-            )
-            worst = max(worst, _rel_gap(lhs, rhs, scale))
-
-    # 2. partition regrouping of each objective
-    grpo_report = objective_grpo(group, adv, config)
-    prm_report = objective_prm(
-        group, step_advantages(tree, assignment, group, stats), config
-    )
-    lambda_report = objective_lambda(group, assignment, adv, config)
-    total = group.total_tokens
+    steps = step_advantages(tree, assignment, group, stats)
     partitions = [partition_at(tree, t) for t in range(tree.max_len)]
-    for kind, report in (
-        ("grpo", grpo_report),
-        ("prm", prm_report),
-        ("lambda", lambda_report),
-    ):
-        position_major = _partition_value(
-            group, partitions, rewards, stats, adv, p, d, beta, kind
-        )
-        scale = _term_scale(report.per_token_terms, total)
-        worst = max(worst, _rel_gap(report.value, position_major, scale))
+    total = group.total_tokens
+    gaps = []
+    for config in configs:
+        terms = token_terms(group, config)
+        p, d, beta = terms
+        worst = 0.0
 
-    # 3. per-token scaling law
-    for i in range(group.k):
-        grpo_row = grpo_report.per_token_terms[i]
-        lambda_row = lambda_report.per_token_terms[i]
-        owners = assignment.owners[i]
-        for t in range(len(grpo_row)):
-            worst = max(worst, _rel_gap(grpo_row[t], owners[t].size * lambda_row[t]))
+        # 1. per-node sums
+        for node in tree.nodes:
+            if node.span_len == 0:
+                continue
+            ahat = normalized_advantage(rewards[node.node_id], stats)
+            members = node.sorted_members()
+            rep = members[0]
+            for t in range(node.span_start, node.span_end):
+                lhs = math.fsum(p[i][t] * ahat - beta * d[i][t] for i in members)
+                rhs = node.size * (p[rep][t] * ahat - beta * d[rep][t])
+                scale = math.fsum(
+                    abs(p[i][t] * ahat) + beta * d[i][t] for i in members
+                )
+                worst = max(worst, _rel_gap(lhs, rhs, scale))
 
-    return VerificationEntry(
-        label="identities",
-        value_a=grpo_report.value,
-        value_b=prm_report.value,
-        abs_gap=worst,
-        rel_gap=worst,
-        trivial=is_trivial(tree),
-    )
+        # 2. partition regrouping of each objective
+        grpo_report = objective_grpo(group, adv, terms)
+        prm_report = objective_prm(group, steps, terms)
+        lambda_report = objective_lambda(group, assignment, adv, terms)
+        for kind, report in (
+            ("grpo", grpo_report),
+            ("prm", prm_report),
+            ("lambda", lambda_report),
+        ):
+            position_major = _partition_value(
+                group, partitions, rewards, stats, adv, terms, kind
+            )
+            scale = _term_scale(report.per_token_terms, total)
+            worst = max(worst, _rel_gap(report.value, position_major, scale))
+
+        # 3. per-token scaling law
+        for i in range(group.k):
+            grpo_row = grpo_report.per_token_terms[i]
+            lambda_row = lambda_report.per_token_terms[i]
+            owners = assignment.owners[i]
+            for t in range(len(grpo_row)):
+                worst = max(worst, _rel_gap(grpo_row[t], owners[t].size * lambda_row[t]))
+
+        gaps.append((grpo_report.value, prm_report.value, worst, worst))
+    return _worst(group, tree, gaps)
 
 
 def verification_configs(beta: float = DEFAULT_BETA) -> list[ObjectiveConfig]:
@@ -516,26 +529,14 @@ def run_verification(
         params = replace(params, logp_mode=LOGP_RANDOM_CONSISTENT)
     equivalence = VerificationReport(tol=tol)
     identities = VerificationReport(tol=identity_tol) if check_identities else None
-
-    def worst(entries: list[VerificationEntry]) -> VerificationEntry:
-        top = max(entries, key=lambda e: e.rel_gap)
-        return replace(top, abs_gap=max(e.abs_gap for e in entries))
-
-    def check(index: int, group: Group) -> None:
-        equivalence.record(
-            params.seed,
-            index,
-            worst([verify_equivalence(group, c, std_mode, epsilon) for c in configs]),
-        )
+    groups = chain(
+        degenerate_groups(needs_logps),
+        (generate_random_group(params, index) for index in range(n_groups)),
+    )
+    for group in groups:
+        equivalence.record(verify_equivalence(group, configs, std_mode, epsilon))
         if identities is not None:
             identities.record(
-                params.seed,
-                index,
-                worst([verify_proof_identities(group, c, std_mode, epsilon) for c in configs]),
+                verify_proof_identities(group, configs, std_mode, epsilon)
             )
-
-    for offset, group in enumerate(degenerate_groups(needs_logps)):
-        check(-1 - offset, group)
-    for index in range(n_groups):
-        check(index, generate_random_group(params, index))
     return equivalence, identities

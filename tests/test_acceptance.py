@@ -31,6 +31,7 @@ from steptree import (
     reward_stats,
     rollout_group,
     step_advantages,
+    token_terms,
 )
 from steptree.cli import main
 from steptree.io import iter_groups, serialize_group
@@ -65,10 +66,11 @@ def full_reports(group, config=UNIT):
     tree = build_process_tree(group)
     assignment = assign_tokens(tree)
     steps = step_advantages(tree, assignment, group, stats)
+    terms = token_terms(group, config)
     return (
-        objective_grpo(group, adv, config),
-        objective_prm(group, steps, config),
-        objective_lambda(group, assignment, adv, config),
+        objective_grpo(group, adv, terms),
+        objective_prm(group, steps, terms),
+        objective_lambda(group, assignment, adv, terms),
     )
 
 
@@ -122,8 +124,8 @@ def test_criterion_3_shared_step_advantage():
     tree = build_process_tree(group)
     assignment = assign_tokens(tree)
     steps = step_advantages(tree, assignment, group, reward_stats(group))
-    value = steps.advantage(2, 0)
-    assert value == steps.advantage(3, 2) == steps.advantage(4, 0)
+    value = steps[2][0]
+    assert value == steps[3][2] == steps[4][0]
     assert abs(value - (-0.22)) <= 0.005
     assert value == pytest.approx(GOLDEN_SHARED_ADV, abs=1e-15)
     print(f"criterion 3 (shared step advantage): PASS [{value:.6f} ~ -0.22]")
@@ -341,9 +343,10 @@ def test_criterion_9_triviality_semantics():
         steps = step_advantages(tree, assignment, group, stats)
         for i in range(group.k):
             for t in range(len(group.trajectories[i])):
-                assert steps.advantage(i, t) == adv[i]
-        grpo = objective_grpo(group, adv, UNIT)
-        prm = objective_prm(group, steps, UNIT)
+                assert steps[i][t] == adv[i]
+        terms = token_terms(group, UNIT)
+        grpo = objective_grpo(group, adv, terms)
+        prm = objective_prm(group, steps, terms)
         assert prm.per_token_terms == grpo.per_token_terms
 
     # aggregate fraction over a mixed stream

@@ -1,6 +1,8 @@
 import csv
 import importlib
+import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,14 @@ import pytest
 from steptree import group_from_sequences
 from steptree.cli import main
 from steptree.io import serialize_group
-from steptree.verify import GenParams, LOGP_RANDOM_CONSISTENT, generate_random_group
+from steptree.verify import (
+    GenParams,
+    LOGP_RANDOM_CONSISTENT,
+    degenerate_groups,
+    generate_random_group,
+    run_verification,
+    verification_configs,
+)
 
 from conftest import make_overlap_group, make_trivial_group
 
@@ -234,7 +243,9 @@ class TestVerify:
         path.write_text(line + "\n", encoding="utf-8")
         code = main(["verify", str(path)])
         assert code == 1
-        assert "FAILED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAILED" in out
+        assert "  failure: query_id=bad rel_gap=" in out
 
     def test_ratio_terms_only_in_verify(self, tmp_path, capsys):
         # logp_old far from logp: ratio terms would change every objective
@@ -262,6 +273,27 @@ class TestVerify:
 
     def test_needs_input_or_random(self, capsys):
         assert main(["verify"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        pytest.param(["verify", "--random", "2", "--tol", "nan"], "tol", id="verify-tol-nan"),
+        pytest.param(["verify", "--random", "2", "--tol=-1e-9"], "tol", id="verify-tol-neg"),
+        pytest.param(["verify", "BARE", "--tol", "nan"], "tol", id="verify-file-tol-nan"),
+        pytest.param(["verify", "--random", "2", "--eps", "nan"], "epsilon", id="verify-eps-nan"),
+        pytest.param(["analyze", "BARE", "--eps", "nan"], "epsilon", id="analyze-eps-nan"),
+        pytest.param(["analyze", "BARE", "--eps", "-1"], "epsilon", id="analyze-eps-neg"),
+        pytest.param(["analyze", "BARE", "--beta", "nan"], "beta", id="analyze-beta-nan"),
+        pytest.param(["weights", "BARE", "--beta", "inf"], "beta", id="weights-beta-inf"),
+    ],
+)
+def test_invalid_numeric_option_is_an_error(dump, capsys, args, named):
+    # ``dump`` holds no log-probabilities, so the KL term is dropped there
+    assert main([str(dump) if a == "BARE" else a for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
 
 
 class TestWeights:
@@ -340,6 +372,18 @@ class TestSimulate:
         assert main(["simulate", str(config), "-o", str(a)]) == 0
         assert main(["simulate", str(config), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("token", ["5", "-1"])
+    def test_reward_token_outside_vocabulary(self, tmp_path, capsys, token):
+        config = tmp_path / "sim.cfg"
+        config.write_text(
+            f"vocab_size = 2\nmax_len = 2\nsteps = 2\nreward[{token}] = 1\n",
+            encoding="utf-8",
+        )
+        assert main(["simulate", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "outside the vocabulary" in err
 
     def test_bad_config_key(self, tmp_path, capsys):
         config = tmp_path / "sim.cfg"
@@ -453,6 +497,80 @@ def test_chain_deeper_than_recursion_limit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "equivalence: 1 group(s)" in out
     assert out.rstrip().endswith("... ok")
+
+
+def test_tree_json_export_deeper_than_recursion_limit(tmp_path):
+    # the indented JSON text grows with the cube of the depth (1.2 GB for a
+    # k = 1200 chain), so the chain stays small and the recursion limit is
+    # lowered below its depth instead
+    k = 200
+    chain = group_from_sequences(
+        "chain", [[1] * (j + 1) for j in range(k)], [float(j % 2) for j in range(k)]
+    )
+    path = tmp_path / "chain.jsonl"
+    write_dump(path, [chain])
+    out = tmp_path / "chain.json"
+    args = ["tree", str(path), "--group-id", "chain", "--format", "json", "-o", str(out)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        code = main(args)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    text = out.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert doc["node_count"] == 2 * k - 1
+    assert json.dumps(doc, indent=2) + "\n" == text
+
+
+COUNTED_CALLS = (
+    ("tree", "build_process_tree"),
+    ("objectives", "ratio_terms"),
+    ("objectives", "kl_terms"),
+    ("core", "reward_stats"),
+)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Calls of the per-group derivations, counted in every module holding them."""
+    counts = {name: 0 for _, name in COUNTED_CALLS}
+    modules = [m for n, m in sys.modules.items() if n.startswith("steptree.")]
+    for home, name in COUNTED_CALLS:
+        original = getattr(importlib.import_module(f"steptree.{home}"), name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestWorkCounts:
+    def test_suite_builds_each_tree_once_per_check(self, work):
+        params = GenParams(seed=21, k_range=(2, 16), length_range=(1, 64))
+        equivalence, _ = run_verification(params, 20, configs=verification_configs(0.04))
+        groups = equivalence.groups_checked
+        assert groups == 20 + len(degenerate_groups(True))
+        assert work == {
+            "build_process_tree": 2 * groups,
+            "ratio_terms": 8 * groups,
+            "kl_terms": 8 * groups,
+            "reward_stats": 2 * groups,
+        }
+
+    def test_file_commands_derive_rows_once_per_config(self, tmp_path, work, capsys):
+        params = GenParams(seed=22, fork_bias=0.7, logp_mode=LOGP_RANDOM_CONSISTENT)
+        path = tmp_path / "groups.jsonl"
+        write_dump(path, [generate_random_group(params, i) for i in range(6)])
+        assert main(["analyze", str(path)]) == 0
+        assert work["ratio_terms"] == work["kl_terms"] == 6
+        assert main(["verify", str(path)]) == 0
+        assert work["ratio_terms"] == work["kl_terms"] == 6 + 2 * 6
 
 
 def test_traced_layers_resolve(monkeypatch):

@@ -20,6 +20,7 @@ from steptree import (
     ratio_terms,
     reward_stats,
     step_advantages,
+    token_terms,
 )
 from steptree.verify import GenParams, generate_random_group
 
@@ -38,10 +39,11 @@ def full_eval(group, config=UNIT):
     tree = build_process_tree(group)
     assignment = assign_tokens(tree)
     steps = step_advantages(tree, assignment, group, stats)
+    terms = token_terms(group, config)
     return (
-        objective_grpo(group, adv, config),
-        objective_prm(group, steps, config),
-        objective_lambda(group, assignment, adv, config),
+        objective_grpo(group, adv, terms),
+        objective_prm(group, steps, terms),
+        objective_lambda(group, assignment, adv, terms),
         assignment,
     )
 
@@ -147,14 +149,16 @@ class TestObjectiveGrpo:
         group = group_from_sequences("s", [(0, 1), (1, 0)], [0.0, 1.0])
         stats = reward_stats(group, POPULATION)
         adv = outcome_advantages(group, stats)
-        report = objective_grpo(group, adv, UNIT)
+        report = objective_grpo(group, adv, token_terms(group, UNIT))
         assert report.value == 0.0
 
     def test_value_is_term_mean(self, overlap_group_logps):
         config = ObjectiveConfig(beta=0.04, assume_unit_ratio=False)
         stats = reward_stats(overlap_group_logps)
         adv = outcome_advantages(overlap_group_logps, stats)
-        report = objective_grpo(overlap_group_logps, adv, config)
+        report = objective_grpo(
+            overlap_group_logps, adv, token_terms(overlap_group_logps, config)
+        )
         flat = [x for row in report.per_token_terms for x in row]
         assert report.value == math.fsum(flat) / overlap_group_logps.total_tokens
 

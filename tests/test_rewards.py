@@ -76,10 +76,10 @@ class TestStepAdvantages:
         stats = reward_stats(overlap_group)
         steps = step_advantages(tree, assignment, overlap_group, stats)
         # any token of the shared four-token step
-        assert steps.advantage(2, 0) == pytest.approx(SHARED_TRIO_ADV, abs=1e-15)
-        assert steps.advantage(4, 3) == steps.advantage(2, 0)
+        assert steps[2][0] == pytest.approx(SHARED_TRIO_ADV, abs=1e-15)
+        assert steps[4][3] == steps[2][0]
         # rounds to -0.22
-        assert round(steps.advantage(2, 0), 2) == -0.22
+        assert round(steps[2][0], 2) == -0.22
 
     def test_pair_node_value(self, overlap_group):
         tree = build_process_tree(overlap_group)
@@ -88,8 +88,8 @@ class TestStepAdvantages:
         steps = step_advantages(tree, assignment, overlap_group, stats)
         adv = outcome_advantages(overlap_group, stats)
         # mean reward of the pair {3, 4} is 0, same as each member's reward
-        assert steps.advantage(3, 4) == adv[3]
-        assert steps.advantage(4, 5) == adv[4]
+        assert steps[3][4] == adv[3]
+        assert steps[4][5] == adv[4]
 
     def test_singleton_tokens_equal_outcome_advantage(self, overlap_group):
         tree = build_process_tree(overlap_group)
@@ -99,7 +99,7 @@ class TestStepAdvantages:
         adv = outcome_advantages(overlap_group, stats)
         for i, t, node in assignment.items():
             if node.size == 1:
-                assert steps.advantage(i, t) == adv[i]
+                assert steps[i][t] == adv[i]
 
     def test_full_domain(self, overlap_group):
         tree = build_process_tree(overlap_group)
@@ -108,17 +108,7 @@ class TestStepAdvantages:
             tree, assignment, overlap_group, reward_stats(overlap_group)
         )
         for i, traj in enumerate(overlap_group.trajectories):
-            assert len(steps.token_reward[i]) == len(traj)
-            assert len(steps.token_advantage[i]) == len(traj)
-
-    def test_token_reward_is_owner_mean(self, overlap_group):
-        tree = build_process_tree(overlap_group)
-        assignment = assign_tokens(tree)
-        steps = step_advantages(
-            tree, assignment, overlap_group, reward_stats(overlap_group)
-        )
-        for i, t, node in assignment.items():
-            assert steps.reward(i, t) == step_reward(node, overlap_group)
+            assert len(steps[i]) == len(traj)
 
     def test_trivial_tree_reduces_to_outcome(self, trivial_group):
         tree = build_process_tree(trivial_group)
@@ -128,13 +118,12 @@ class TestStepAdvantages:
         adv = outcome_advantages(trivial_group, stats)
         for i, traj in enumerate(trivial_group.trajectories):
             for t in range(len(traj)):
-                assert steps.advantage(i, t) == adv[i]
-                assert steps.reward(i, t) == traj.reward
+                assert steps[i][t] == adv[i]
 
     def test_degenerate_std_zeroes_advantages(self):
         group = group_from_sequences("c", [(1, 1), (1, 2)], [0.5, 0.5])
         tree = build_process_tree(group)
         assignment = assign_tokens(tree)
         steps = step_advantages(tree, assignment, group, reward_stats(group))
-        for row in steps.token_advantage:
+        for row in steps:
             assert all(a == 0.0 for a in row)

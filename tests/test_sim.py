@@ -180,13 +180,21 @@ class TestGradients:
         assert sequence_probability(policy, (0, 0)) > before
 
     def test_surrogate_at_rollout_policy_equals_objective(self):
-        from steptree import ObjectiveConfig, objective_grpo, outcome_advantages, reward_stats
+        from steptree import (
+            ObjectiveConfig,
+            objective_grpo,
+            outcome_advantages,
+            reward_stats,
+            token_terms,
+        )
 
         policy = ToyPolicy(vocab_size=3, horizon=4)
         group = rollout_group(policy, small_env(), k=4, seed=9)
         stats = reward_stats(group)
         adv = outcome_advantages(group, stats)
-        report = objective_grpo(group, adv, ObjectiveConfig(beta=0.0))
+        report = objective_grpo(
+            group, adv, token_terms(group, ObjectiveConfig(beta=0.0))
+        )
         assert surrogate_value(policy, group, "grpo", GRPO_CFG) == pytest.approx(
             report.value, rel=1e-12, abs=1e-15
         )
@@ -291,6 +299,13 @@ class TestExperiment:
         rows = run_experiment(policy, env, config)
         assert rows[-1].expected_reward > rows[0].expected_reward
         assert expected_reward(policy, env) > 0.3
+
+    @pytest.mark.parametrize("token", [5, -1])
+    def test_table_token_outside_vocabulary(self, token):
+        env = ToyEnv(reward_table={(token,): 1.0}, max_len=2)
+        config = SimConfig(seed=1, k=2, steps=1, objective="grpo")
+        with pytest.raises(ValueError, match="vocabulary"):
+            run_experiment(ToyPolicy(vocab_size=2, horizon=2), env, config)
 
     def test_expected_reward_exact(self):
         policy = ToyPolicy(vocab_size=2, horizon=2)

@@ -18,6 +18,7 @@ from .core import (
     Group,
     POPULATION,
     SAMPLE,
+    check_nonnegative,
     outcome_advantages,
     reward_stats,
 )
@@ -61,37 +62,32 @@ from .verify import (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # each subcommand takes only the shared flags it reads
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument(
+        "--strict",
+        action="store_true",
+        help="abort on the first malformed input line instead of skipping it",
+    )
+    data = argparse.ArgumentParser(add_help=False, parents=[strict])
+    data.add_argument(
         "--std",
         choices=(SAMPLE, POPULATION),
         default=SAMPLE,
         help="standard-deviation divisor convention (default: sample, i.e. k-1)",
     )
-    common.add_argument(
+    data.add_argument(
         "--beta",
         type=float,
         default=DEFAULT_BETA,
         help=f"KL coefficient (default: {DEFAULT_BETA}; 0 disables the KL term)",
     )
-    common.add_argument(
+    data.add_argument(
         "--eps",
         type=float,
         default=DEFAULT_EPSILON,
         help="std threshold below which advantages collapse to zero",
     )
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULT_TOL,
-        help="relative tolerance for equivalence verification",
-    )
-    common.add_argument(
-        "--strict",
-        action="store_true",
-        help="abort on the first malformed input line instead of skipping it",
-    )
-
     parser = argparse.ArgumentParser(
         prog="steptree",
         description=(
@@ -103,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        parents=[common],
+        parents=[data],
         help="per-group metrics CSV plus an aggregate summary",
     )
     analyze.add_argument("input", help="JSONL group dump")
@@ -111,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--summary", help="write the mergeable summary JSON here")
 
     tree = sub.add_parser(
-        "tree", parents=[common], help="export one group's process tree"
+        "tree", parents=[strict], help="export one group's process tree"
     )
     tree.add_argument("input", help="JSONL group dump")
     tree.add_argument("--group-id", required=True, help="query_id to export")
@@ -120,8 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        parents=[common],
+        parents=[data],
         help="equivalence and identity suites over a file or random groups",
+    )
+    verify.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help="relative tolerance for equivalence verification",
     )
     verify.add_argument("input", nargs="?", help="JSONL group dump")
     verify.add_argument("--random", type=int, metavar="N", help="verify N generated groups")
@@ -136,21 +138,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     weights = sub.add_parser(
-        "weights", parents=[common], help="emit per-token weight records"
+        "weights", parents=[data], help="emit per-token weight records"
     )
     weights.add_argument("input", help="JSONL group dump")
     weights.add_argument("--objective", choices=(GRPO, LAMBDA), default=GRPO)
     weights.add_argument("-o", "--output", default="-")
 
-    simulate = sub.add_parser(
-        "simulate", parents=[common], help="run a toy policy experiment"
-    )
+    simulate = sub.add_parser("simulate", help="run a toy policy experiment")
     simulate.add_argument("config", help="flat key = value config file")
     simulate.add_argument("-o", "--output", default="-")
 
-    report = sub.add_parser(
-        "report", parents=[common], help="merge aggregate summaries"
-    )
+    report = sub.add_parser("report", help="merge aggregate summaries")
     report.add_argument("summaries", nargs="+", help="summary JSON files to merge")
     report.add_argument("-o", "--output", default="-")
 
@@ -307,7 +305,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
 
 
 def _parse_sim_config(path: str) -> dict:
-    """Flat ``key = value`` file; reward entries use ``reward[1,2,3] = 0.5``."""
+    """Flat ``key = value`` file; ``reward[1,2] = 0.5`` lines form ``reward[...]``."""
     values: dict = {}
     rewards: dict[tuple[int, ...], float] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -326,34 +324,30 @@ def _parse_sim_config(path: str) -> dict:
                 rewards[seq] = float(value)
             else:
                 values[key] = value
-    values["rewards"] = rewards
+    if rewards:
+        values["reward[...]"] = rewards
     return values
 
 
-def _sim_from_config(raw: dict) -> tuple[ToyPolicy, ToyEnv, SimConfig, str]:
-    def get(key: str, default, cast):
-        if key not in raw:
-            return default
-        return cast(raw[key])
+def _sim_from_config(
+    raw: dict,
+) -> tuple[ToyPolicy, ToyEnv, Optional[Group], SimConfig, str]:
+    """The policy, environment, built-in group, config and mode of a run.
 
-    scenario = raw.get("scenario", "none")
-    config = SimConfig(
-        seed=get("seed", 0, int),
-        k=get("k", 6, int),
-        steps=get("steps", 10, int),
-        learn_rate=get("learn_rate", 0.5, float),
-        objective=raw.get("objective", GRPO),
-        std_mode=raw.get("std_mode", SAMPLE),
-        beta=get("beta", 0.0, float),
-        epsilon=get("epsilon", DEFAULT_EPSILON, float),
-    )
+    Every key must be read by the chosen scenario and mode; any other key
+    is an error naming it.
+    """
+    unread = dict(raw)
+
+    def get(key: str, default, cast=str):
+        return cast(unread.pop(key)) if key in unread else default
+
+    scenario = get("scenario", "none")
     if scenario == "exploitation":
-        policy, env, _ = exploitation_scenario(
-            concentration=get("concentration", 3.0, float)
-        )
-        mode = raw.get("mode", "one_step")
+        policy, env, group = exploitation_scenario(get("concentration", 3.0, float))
+        mode = get("mode", "one_step")
     elif scenario == "none":
-        terminal = raw.get("terminal_token", "none")
+        terminal = get("terminal_token", "none")
         policy = ToyPolicy(
             vocab_size=get("vocab_size", 4, int),
             horizon=get("horizon", 8, int),
@@ -361,68 +355,73 @@ def _sim_from_config(raw: dict) -> tuple[ToyPolicy, ToyEnv, SimConfig, str]:
             context_order=get("context_order", 4, int),
         )
         env = ToyEnv(
-            reward_table=raw.get("rewards", {}),
+            reward_table=get("reward[...]", {}, dict),
             max_len=get("max_len", 8, int),
             terminal_token=None if terminal in ("none", "") else int(terminal),
         )
-        mode = raw.get("mode", "series")
+        group = None
+        mode = get("mode", "series")
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
-    if mode not in ("series", "one_step"):
+    if mode == "series":
+        series = dict(
+            seed=get("seed", 0, int),
+            k=get("k", 6, int),
+            steps=get("steps", 10, int),
+            objective=get("objective", GRPO),
+        )
+    elif mode == "one_step":
+        series = {}  # one step of each objective on the built-in group
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    return policy, env, config, mode
+    config = SimConfig(
+        learn_rate=get("learn_rate", 0.5, float),
+        std_mode=get("std_mode", SAMPLE),
+        epsilon=get("epsilon", DEFAULT_EPSILON, float),
+        **series,
+    )
+    if unread:
+        key = next(iter(unread))
+        raise ValueError(
+            f"config key {key!r} is not read by scenario {scenario!r} in {mode} mode"
+        )
+    return policy, env, group, config, mode
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    raw = _parse_sim_config(args.config)
-    policy, env, config, mode = _sim_from_config(raw)
+    policy, env, group, config, mode = _sim_from_config(_parse_sim_config(args.config))
+    if mode == "one_step" and group is None:
+        print("one_step mode requires scenario = exploitation", file=sys.stderr)
+        return 2
+    if mode == "series":
+        header = ("step", "expected_reward", "best_sequence_prob", "objective_value")
+        rows = [
+            (row.step, row.expected_reward, row.best_sequence_prob, row.objective_value)
+            for row in run_experiment(policy, env, config)
+        ]
+    else:
+        comparison = one_step_comparison(policy, group, config)
+        header = (
+            "objective",
+            "shared_size",
+            "prefix_prob_before",
+            "prefix_prob_after",
+            "prefix_prob_delta",
+        )
+        rows = [
+            (
+                shift.objective,
+                comparison.shared_size,
+                shift.prefix_prob_before,
+                shift.prefix_prob_after,
+                shift.prefix_prob_delta,
+            )
+            for shift in (comparison.grpo, comparison.lam)
+        ]
     with _open_out(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
-        if mode == "series":
-            writer.writerow(
-                ("step", "expected_reward", "best_sequence_prob", "objective_value")
-            )
-            for row in run_experiment(policy, env, config):
-                writer.writerow(
-                    _csv_cell(v)
-                    for v in (
-                        row.step,
-                        row.expected_reward,
-                        row.best_sequence_prob,
-                        row.objective_value,
-                    )
-                )
-        else:
-            scenario = raw.get("scenario", "none")
-            if scenario != "exploitation":
-                print("one_step mode requires scenario = exploitation", file=sys.stderr)
-                return 2
-            _, _, group = exploitation_scenario(
-                concentration=float(raw.get("concentration", 3.0))
-            )
-            comparison = one_step_comparison(
-                policy, group, config, learn_rate=config.learn_rate
-            )
-            writer.writerow(
-                (
-                    "objective",
-                    "shared_size",
-                    "prefix_prob_before",
-                    "prefix_prob_after",
-                    "prefix_prob_delta",
-                )
-            )
-            for shift in (comparison.grpo, comparison.lam):
-                writer.writerow(
-                    _csv_cell(v)
-                    for v in (
-                        shift.objective,
-                        comparison.shared_size,
-                        shift.prefix_prob_before,
-                        shift.prefix_prob_after,
-                        shift.prefix_prob_delta,
-                    )
-                )
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
     return 0
 
 
@@ -451,6 +450,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # option values are checked before a command writes any output
+        for flag, name in (("beta", "beta"), ("eps", "epsilon"), ("tol", "tol")):
+            if flag in args:
+                check_nonnegative(getattr(args, flag), name)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

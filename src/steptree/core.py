@@ -23,6 +23,12 @@ _LOGP_FIELDS = ("logp_new", "logp_old", "logp_ref")
 _NEG_INF = -math.inf
 
 
+def check_nonnegative(value: float, name: str) -> None:
+    """Reject a value that is not finite and >= 0, naming it in the message."""
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be finite and >= 0")
+
+
 def _as_float(value, what: str) -> float:
     """An int or float as a float; bools, strings and other types are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -161,8 +167,7 @@ def reward_stats(
     """Mean and std of the group's outcome rewards."""
     if std_mode not in STD_MODES:
         raise ValueError(f"std_mode must be one of {STD_MODES}, got {std_mode!r}")
-    if not math.isfinite(epsilon) or epsilon < 0.0:
-        raise ValueError("epsilon must be finite and >= 0")
+    check_nonnegative(epsilon, "epsilon")
     rewards = group.rewards
     k = len(rewards)
     mean = math.fsum(rewards) / k

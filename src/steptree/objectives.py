@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Group
+from .core import Group, check_nonnegative
 from .tree import TokenAssignment
 
 GRPO = "grpo"
@@ -51,8 +51,7 @@ class ObjectiveConfig:
     assume_unit_ratio: bool = True
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.beta) or self.beta < 0.0:
-            raise ValueError("beta must be finite and >= 0")
+        check_nonnegative(self.beta, "beta")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     DEFAULT_EPSILON,
@@ -36,7 +36,7 @@ from .objectives import (
     objective_lambda,
     token_terms,
 )
-from .tree import ProcessNode, ProcessTree, assign_tokens, build_process_tree
+from .tree import ProcessNode, assign_tokens, build_process_tree
 
 Context = tuple[int, ...]
 GradientTable = dict[Context, list[float]]
@@ -167,7 +167,7 @@ class ToyEnv:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Experiment knobs: group size, steps, objective, and normalization."""
+    """Experiment knobs: group size, steps, objective, normalization; no KL term."""
 
     seed: int = 0
     k: int = 6
@@ -175,7 +175,6 @@ class SimConfig:
     learn_rate: float = 0.5
     objective: str = GRPO
     std_mode: str = SAMPLE
-    beta: float = 0.0
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
@@ -187,8 +186,6 @@ class SimConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.std_mode not in STD_MODES:
             raise ValueError(f"std_mode must be one of {STD_MODES}")
-        if self.beta != 0.0:
-            raise ValueError("the simulator evaluates without a KL term (beta=0)")
 
 
 def rollout_group(
@@ -233,60 +230,61 @@ def rollout_group(
 def _token_weights(group: Group, objective: str) -> list[list[float]]:
     if objective == GRPO:
         return [[1.0] * len(t) for t in group.trajectories]
-    tree = build_process_tree(group)
-    return lambda_weights(assign_tokens(tree))
+    return lambda_weights(assign_tokens(build_process_tree(group)))
 
 
-def _add_score(
-    policy: ToyPolicy, gradient: GradientTable, ctx: Context, token: int, coef: float
-) -> None:
-    """Add coef * grad(log pi(token | ctx)) to the gradient table.
+def _score_sum(
+    policy: ToyPolicy,
+    group: Group,
+    spans: Iterable[tuple[int, int, int]],
+    advantages: Sequence[float],
+    weights: Sequence[Sequence[float]],
+) -> GradientTable:
+    """Sum of weight * advantage * grad(log pi(token | ctx)) / total_tokens.
 
-    For a softmax, grad(log pi) is (indicator - probs) / temperature; the
-    1/temperature factor is part of ``coef``.
+    ``spans`` holds (completion, start, end) token ranges. For a softmax,
+    grad(log pi) is (indicator - probs) / temperature.
     """
-    probs = policy.probs(ctx)
-    grad = gradient.get(ctx)
-    if grad is None:
-        grad = [0.0] * policy.vocab_size
-        gradient[ctx] = grad
-    for v, pv in enumerate(probs):
-        grad[v] -= coef * pv
-    grad[token] += coef
+    total = group.total_tokens
+    gradient: GradientTable = {}
+    inv_temp = 1.0 / policy.temperature
+    for i, start, end in spans:
+        tokens = group.trajectories[i].tokens
+        prefix = list(tokens[:start])
+        for t in range(start, end):
+            coef = weights[i][t] * advantages[i] * inv_temp / total
+            ctx = policy.context(prefix)
+            grad = gradient.get(ctx)
+            if grad is None:
+                grad = [0.0] * policy.vocab_size
+                gradient[ctx] = grad
+            for v, pv in enumerate(policy.probs(ctx)):
+                grad[v] -= coef * pv
+            grad[tokens[t]] += coef
+            prefix.append(tokens[t])
+    return gradient
 
 
 def analytic_gradient(
     policy: ToyPolicy,
     group: Group,
-    objective: str,
-    config: SimConfig,
+    advantages: Sequence[float],
+    weights: Sequence[Sequence[float]],
 ) -> GradientTable:
     """Exact gradient of the objective with respect to every touched logit.
 
     Score-function form: with the ratio evaluated at the current policy,
-    each token contributes weight * advantage * grad(log pi) / total_tokens,
-    and grad(log pi) for a softmax is (indicator - probs) / temperature.
+    each token contributes weight * advantage * grad(log pi) / total_tokens.
+    ``advantages`` are the outcome advantages and ``weights`` the per-token
+    weight rows (1 for GRPO, 1/|owning set| for the corrected objective).
     """
-    stats = reward_stats(group, config.std_mode, config.epsilon)
-    advantages = outcome_advantages(group, stats)
-    weights = _token_weights(group, objective)
-    total = group.total_tokens
-    gradient: GradientTable = {}
-    inv_temp = 1.0 / policy.temperature
-    for i, traj in enumerate(group.trajectories):
-        adv = advantages[i]
-        prefix: list[int] = []
-        for t, token in enumerate(traj.tokens):
-            coef = weights[i][t] * adv * inv_temp / total
-            _add_score(policy, gradient, policy.context(prefix), token, coef)
-            prefix.append(token)
-    return gradient
+    spans = ((i, 0, len(t)) for i, t in enumerate(group.trajectories))
+    return _score_sum(policy, group, spans, advantages, weights)
 
 
 def node_gradient(
     policy: ToyPolicy,
     group: Group,
-    tree: ProcessTree,
     node: ProcessNode,
     objective: str,
     config: SimConfig,
@@ -299,38 +297,29 @@ def node_gradient(
     therefore differ by exactly that factor, coordinate by coordinate.
     """
     stats = reward_stats(group, config.std_mode, config.epsilon)
+    spans = ((i, node.span_start, node.span_end) for i in node.sorted_members())
     advantages = outcome_advantages(group, stats)
-    total = group.total_tokens
-    gradient: GradientTable = {}
-    inv_temp = 1.0 / policy.temperature
-    for i in node.sorted_members():
-        tokens = group.trajectories[i].tokens
-        for t in range(node.span_start, node.span_end):
-            coef = advantages[i] * inv_temp / total
-            _add_score(policy, gradient, policy.context(tokens[:t]), tokens[t], coef)
+    units = _token_weights(group, GRPO)
+    gradient = _score_sum(policy, group, spans, advantages, units)
     if objective == LAMBDA:
         size = node.size
         for grad in gradient.values():
-            for v in range(len(grad)):
-                grad[v] /= size
+            grad[:] = [g / size for g in grad]
     return gradient
 
 
 def surrogate_value(
     policy: ToyPolicy,
     group: Group,
-    objective: str,
-    config: SimConfig,
+    advantages: Sequence[float],
+    weights: Sequence[Sequence[float]],
 ) -> float:
     """Objective as a differentiable function of the policy logits.
 
     The ratio term is exp(logpi_current - logp_at_rollout) with the
-    advantages held fixed; at the rollout policy itself every ratio is 1
-    and the gradient reduces to the score-function form.
+    advantages and weights held fixed; at the rollout policy itself every
+    ratio is 1 and the gradient reduces to the score-function form.
     """
-    stats = reward_stats(group, config.std_mode, config.epsilon)
-    advantages = outcome_advantages(group, stats)
-    weights = _token_weights(group, objective)
     total = group.total_tokens
     if total == 0:
         return 0.0
@@ -358,7 +347,8 @@ def finite_diff_check(
     """Max relative error between analytic and central-difference gradients.
 
     Perturbs each touched logit coordinate by +-h; the relative error
-    denominator is max(|analytic|, 1e-12).
+    denominator is max(|analytic|, 1e-12). The advantages and weights are
+    derived once and held fixed across every probe.
 
     Coordinates where both sides sit below the subtraction-noise bound
     (machine epsilon times the summed term magnitude, divided by 2h) are
@@ -372,10 +362,10 @@ def finite_diff_check(
     """
     if not 1e-6 <= h <= 1e-3:
         raise ValueError("h must be in [1e-6, 1e-3]")
-    analytic = analytic_gradient(policy, group, objective, config)
     stats = reward_stats(group, config.std_mode, config.epsilon)
     advantages = outcome_advantages(group, stats)
     weights = _token_weights(group, objective)
+    analytic = analytic_gradient(policy, group, advantages, weights)
     total = group.total_tokens
     mass = (
         math.fsum(
@@ -395,9 +385,9 @@ def finite_diff_check(
         for v in range(probe.vocab_size):
             base = vec[v]
             vec[v] = base + h
-            up = surrogate_value(probe, group, objective, config)
+            up = surrogate_value(probe, group, advantages, weights)
             vec[v] = base - h
-            down = surrogate_value(probe, group, objective, config)
+            down = surrogate_value(probe, group, advantages, weights)
             vec[v] = base
             numeric = (up - down) / (2.0 * h)
             expected = analytic[ctx][v]
@@ -477,9 +467,11 @@ def run_experiment(
         advantages = outcome_advantages(group, stats)
         terms = token_terms(group, obj_config)
         if config.objective == GRPO:
+            weights = _token_weights(group, GRPO)
             value = objective_grpo(group, advantages, terms).value
         else:
             assignment = assign_tokens(build_process_tree(group))
+            weights = lambda_weights(assignment)
             value = objective_lambda(group, assignment, advantages, terms).value
         records.append(
             SimStepRecord(
@@ -491,7 +483,7 @@ def run_experiment(
                 objective_value=value,
             )
         )
-        gradient = analytic_gradient(policy, group, config.objective, config)
+        gradient = analytic_gradient(policy, group, advantages, weights)
         policy.apply_gradient(gradient, config.learn_rate)
     return records
 
@@ -519,9 +511,6 @@ class OneStepComparison:
     shared_size: int
     grpo: ObjectiveShift
     lam: ObjectiveShift
-
-    def shift(self, objective: str) -> ObjectiveShift:
-        return self.grpo if objective == GRPO else self.lam
 
 
 def exploitation_scenario(
@@ -573,17 +562,19 @@ def one_step_comparison(
     policy: ToyPolicy,
     group: Group,
     config: SimConfig,
-    learn_rate: float,
 ) -> OneStepComparison:
     """Apply one ascent step per objective and measure the shared prefix.
 
     The shared prefix is the span of the process set owning the first token
     of the highest-reward trajectory. Both objectives start from copies of
     the same policy; the restricted gradients of the shared node are
-    reported so their exact size-factor relation can be inspected.
+    reported so their exact size-factor relation can be inspected. The
+    step size is ``config.learn_rate``.
     """
-    tree = build_process_tree(group)
-    assignment = assign_tokens(tree)
+    assignment = assign_tokens(build_process_tree(group))
+    stats = reward_stats(group, config.std_mode, config.epsilon)
+    advantages = outcome_advantages(group, stats)
+    weights = {GRPO: _token_weights(group, GRPO), LAMBDA: lambda_weights(assignment)}
     best_i = max(
         range(group.k), key=lambda i: (group.trajectories[i].reward, -i)
     )
@@ -594,10 +585,10 @@ def one_step_comparison(
     for objective in OBJECTIVES:
         candidate = policy.copy()
         before = sequence_probability(candidate, prefix)
-        gradient = analytic_gradient(candidate, group, objective, config)
-        candidate.apply_gradient(gradient, learn_rate)
+        gradient = analytic_gradient(candidate, group, advantages, weights[objective])
+        candidate.apply_gradient(gradient, config.learn_rate)
         after = sequence_probability(candidate, prefix)
-        restricted = node_gradient(policy, group, tree, node, objective, config)
+        restricted = node_gradient(policy, group, node, objective, config)
         shifts[objective] = ObjectiveShift(
             objective=objective,
             prefix_prob_before=before,

@@ -26,6 +26,7 @@ from .core import (
     RewardStats,
     SAMPLE,
     Trajectory,
+    check_nonnegative,
     group_from_sequences,
     normalized_advantage,
     outcome_advantages,
@@ -276,8 +277,7 @@ class VerificationReport:
     failures: list[tuple[str, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.tol) or self.tol < 0.0:
-            raise ValueError("tol must be finite and >= 0")
+        check_nonnegative(self.tol, "tol")
 
     def record(self, entry: VerificationEntry) -> None:
         """Count one group; a gap above tol is a (query_id, rel_gap) failure."""
@@ -510,7 +510,6 @@ def run_verification(
     n_groups: int,
     configs: Optional[Sequence[ObjectiveConfig]] = None,
     tol: float = DEFAULT_TOL,
-    identity_tol: float = IDENTITY_TOL,
     check_identities: bool = True,
     std_mode: str = SAMPLE,
     epsilon: float = DEFAULT_EPSILON,
@@ -518,7 +517,7 @@ def run_verification(
     """Run the full suite: generated groups plus the mandatory degenerates.
 
     Returns the equivalence report and, unless disabled, the identity
-    report. Every group is checked under every configuration.
+    report (at ``IDENTITY_TOL``). Every group is checked under every config.
     """
     if configs is None:
         configs = verification_configs()
@@ -528,7 +527,7 @@ def run_verification(
     if needs_logps and params.logp_mode != LOGP_RANDOM_CONSISTENT:
         params = replace(params, logp_mode=LOGP_RANDOM_CONSISTENT)
     equivalence = VerificationReport(tol=tol)
-    identities = VerificationReport(tol=identity_tol) if check_identities else None
+    identities = VerificationReport(tol=IDENTITY_TOL) if check_identities else None
     groups = chain(
         degenerate_groups(needs_logps),
         (generate_random_group(params, index) for index in range(n_groups)),

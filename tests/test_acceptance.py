@@ -22,6 +22,7 @@ from steptree import (
     exploitation_scenario,
     finite_diff_check,
     is_trivial,
+    lambda_weights,
     node_gradient,
     objective_grpo,
     objective_lambda,
@@ -103,9 +104,9 @@ def test_criterion_2_proof_identities():
         1000,
         configs=verification_configs(0.04),
         tol=1e-9,
-        identity_tol=1e-12,
     )
     assert identities is not None
+    assert identities.tol == 1e-12
     assert identities.failures == []
     assert identities.max_rel_gap <= 1e-12
     # the mandatory degenerate shapes are part of every run
@@ -243,8 +244,8 @@ def test_criterion_6_gradient_verification():
         for node in tree.nodes:
             if node.span_len == 0:
                 continue
-            grpo_grad = node_gradient(policy, group, tree, node, "grpo", config)
-            lam_grad = node_gradient(policy, group, tree, node, "lambda", config)
+            grpo_grad = node_gradient(policy, group, node, "grpo", config)
+            lam_grad = node_gradient(policy, group, node, "lambda", config)
             for ctx, vec in grpo_grad.items():
                 for a, b in zip(vec, lam_grad[ctx]):
                     assert b == a / node.size
@@ -259,8 +260,8 @@ def test_criterion_6_gradient_verification():
 def test_criterion_7_exploitation_scenario():
     """One step shrinks the shared-prefix probability; uncorrected pushes 3x."""
     policy, _, group = exploitation_scenario()
-    config = SimConfig(seed=0, k=6, objective="grpo")
-    comparison = one_step_comparison(policy, group, config, learn_rate=0.5)
+    config = SimConfig(seed=0, k=6, learn_rate=0.5, objective="grpo")
+    comparison = one_step_comparison(policy, group, config)
     assert comparison.shared_size == 3
     assert comparison.grpo.prefix_prob_delta < 0.0
     assert comparison.lam.prefix_prob_delta < 0.0
@@ -271,8 +272,11 @@ def test_criterion_7_exploitation_scenario():
             assert b == a / 3.0
     # contexts strictly inside the shared prefix are touched by no other
     # tokens, so even the full gradients carry the exact factor
-    grpo_grad = analytic_gradient(policy, group, "grpo", config)
-    lam_grad = analytic_gradient(policy, group, "lambda", config)
+    advantages = outcome_advantages(group, reward_stats(group))
+    ones = [[1.0] * len(t) for t in group.trajectories]
+    corrected = lambda_weights(assign_tokens(build_process_tree(group)))
+    grpo_grad = analytic_gradient(policy, group, advantages, ones)
+    lam_grad = analytic_gradient(policy, group, advantages, corrected)
     for ctx in ((7,), (7, 7), (7, 7, 7)):
         for a, b in zip(grpo_grad[ctx], lam_grad[ctx]):
             assert a == pytest.approx(3.0 * b, rel=1e-12, abs=1e-300)

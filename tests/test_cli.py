@@ -23,6 +23,7 @@ from conftest import make_overlap_group, make_trivial_group
 
 GOLDEN = Path(__file__).parent / "golden"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def write_dump(path, groups):
@@ -286,14 +287,46 @@ class TestVerify:
         pytest.param(["analyze", "BARE", "--eps", "-1"], "epsilon", id="analyze-eps-neg"),
         pytest.param(["analyze", "BARE", "--beta", "nan"], "beta", id="analyze-beta-nan"),
         pytest.param(["weights", "BARE", "--beta", "inf"], "beta", id="weights-beta-inf"),
+        pytest.param(["analyze", "EMPTY", "--eps", "nan"], "epsilon", id="analyze-empty-eps"),
+        pytest.param(["weights", "EMPTY", "--beta", "nan"], "beta", id="weights-empty-beta"),
     ],
 )
-def test_invalid_numeric_option_is_an_error(dump, capsys, args, named):
+def test_invalid_numeric_option_is_an_error(dump, tmp_path, capsys, args, named):
     # ``dump`` holds no log-probabilities, so the KL term is dropped there
-    assert main([str(dump) if a == "BARE" else a for a in args]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert named in err
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    files = {"BARE": str(dump), "EMPTY": str(empty)}
+    assert main([files.get(a, a) for a in args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert named in captured.err
+
+
+SHARED_FLAGS = {
+    "--std": ["population"],
+    "--beta": ["0.1"],
+    "--eps": ["0.1"],
+    "--tol": ["0.1"],
+    "--strict": [],
+}
+UNREAD_FLAGS = [
+    (["analyze", "dump.jsonl"], "--tol"),
+    (["weights", "dump.jsonl"], "--tol"),
+    *((["tree", "dump.jsonl", "--group-id", "q"], f) for f in SHARED_FLAGS if f != "--strict"),
+    *((["simulate", "sim.cfg"], f) for f in SHARED_FLAGS),
+    *((["report", "summary.json"], f) for f in SHARED_FLAGS),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", UNREAD_FLAGS, ids=[f"{c[0]}{f}" for c, f in UNREAD_FLAGS]
+)
+def test_flag_the_command_never_reads_is_a_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, flag, *SHARED_FLAGS[flag]])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 class TestWeights:
@@ -390,6 +423,33 @@ class TestSimulate:
         config.write_text("scenario = warp\n", encoding="utf-8")
         assert main(["simulate", str(config)]) == 1
         assert "scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("steps = 2\nlerning_rate = 9\n", "lerning_rate"),
+            ("steps = 2\nbeta = 0\n", "beta"),
+            ("steps = 2\nconcentration = 2\n", "concentration"),
+            ("scenario = exploitation\nvocab_size = 3\n", "vocab_size"),
+            ("scenario = exploitation\nreward[1,2] = 1\n", "reward[...]"),
+            ("scenario = exploitation\nobjective = lambda\n", "objective"),
+        ],
+    )
+    def test_key_the_run_never_reads(self, tmp_path, capsys, text, key):
+        config = tmp_path / "sim.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert main(["simulate", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config key {key!r} is not read")
+
+    def test_readme_configs_run(self, tmp_path, capsys):
+        blocks = README.read_text(encoding="utf-8").split("```ini\n")[1:]
+        assert len(blocks) == 2
+        for n, block in enumerate(blocks):
+            config = tmp_path / f"readme{n}.cfg"
+            config.write_text(block.split("```")[0], encoding="utf-8")
+            assert main(["simulate", str(config), "-o", str(tmp_path / "out.csv")]) == 0
 
 
 def _summary_text(**fields) -> str:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import steptree.sim
 from steptree import (
     Group,
     SimConfig,
@@ -13,8 +14,11 @@ from steptree import (
     build_process_tree,
     exploitation_scenario,
     finite_diff_check,
+    lambda_weights,
     node_gradient,
     one_step_comparison,
+    outcome_advantages,
+    reward_stats,
     rollout_group,
     run_experiment,
 )
@@ -22,6 +26,15 @@ from steptree.sim import best_sequence, expected_reward, sequence_probability, s
 
 GRPO_CFG = SimConfig(seed=0, k=4, steps=1, learn_rate=0.1, objective="grpo")
 LAMBDA_CFG = SimConfig(seed=0, k=4, steps=1, learn_rate=0.1, objective="lambda")
+ONE_STEP_CFG = SimConfig(seed=0, k=4, steps=1, learn_rate=0.5, objective="grpo")
+
+
+def gradient_inputs(group, objective):
+    """Outcome advantages and per-token weight rows of the objective."""
+    advantages = outcome_advantages(group, reward_stats(group))
+    if objective == "grpo":
+        return advantages, [[1.0] * len(t) for t in group.trajectories]
+    return advantages, lambda_weights(assign_tokens(build_process_tree(group)))
 
 
 def small_env(max_len=4, terminal=None):
@@ -142,7 +155,7 @@ class TestGradients:
         env = ToyEnv(reward_table={}, max_len=4)  # every rollout earns 0
         group = rollout_group(policy, env, k=4, seed=3)
         for objective in ("grpo", "lambda"):
-            grad = analytic_gradient(policy, group, objective, GRPO_CFG)
+            grad = analytic_gradient(policy, group, *gradient_inputs(group, objective))
             assert all(g == 0.0 for vec in grad.values() for g in vec)
 
     def test_finite_difference_small(self):
@@ -175,7 +188,7 @@ class TestGradients:
         group = rollout_group(policy, env, k=6, seed=2)
         assert any(t.reward == 1.0 for t in group.trajectories)
         before = sequence_probability(policy, (0, 0))
-        grad = analytic_gradient(policy, group, "grpo", GRPO_CFG)
+        grad = analytic_gradient(policy, group, *gradient_inputs(group, "grpo"))
         policy.apply_gradient(grad, 0.5)
         assert sequence_probability(policy, (0, 0)) > before
 
@@ -195,7 +208,8 @@ class TestGradients:
         report = objective_grpo(
             group, adv, token_terms(group, ObjectiveConfig(beta=0.0))
         )
-        assert surrogate_value(policy, group, "grpo", GRPO_CFG) == pytest.approx(
+        value = surrogate_value(policy, group, *gradient_inputs(group, "grpo"))
+        assert value == pytest.approx(
             report.value, rel=1e-12, abs=1e-15
         )
 
@@ -205,8 +219,8 @@ class TestGradients:
         for node in tree.nodes:
             if node.span_len == 0:
                 continue
-            grpo = node_gradient(policy, group, tree, node, "grpo", GRPO_CFG)
-            lam = node_gradient(policy, group, tree, node, "lambda", LAMBDA_CFG)
+            grpo = node_gradient(policy, group, node, "grpo", GRPO_CFG)
+            lam = node_gradient(policy, group, node, "lambda", LAMBDA_CFG)
             assert set(grpo) == set(lam)
             for ctx in grpo:
                 for a, b in zip(grpo[ctx], lam[ctx]):
@@ -215,11 +229,11 @@ class TestGradients:
     def test_node_gradients_compose_to_full(self):
         policy, _, group = exploitation_scenario()
         tree = build_process_tree(group)
-        full = analytic_gradient(policy, group, "lambda", LAMBDA_CFG)
+        full = analytic_gradient(policy, group, *gradient_inputs(group, "lambda"))
         composed: dict = {}
         for node in tree.nodes:
             for ctx, vec in node_gradient(
-                policy, group, tree, node, "lambda", LAMBDA_CFG
+                policy, group, node, "lambda", LAMBDA_CFG
             ).items():
                 acc = composed.setdefault(ctx, [0.0] * policy.vocab_size)
                 for v, g in enumerate(vec):
@@ -233,14 +247,14 @@ class TestGradients:
 class TestExploitation:
     def test_shared_prefix_identified(self):
         policy, _, group = exploitation_scenario()
-        comparison = one_step_comparison(policy, group, GRPO_CFG, learn_rate=0.5)
+        comparison = one_step_comparison(policy, group, ONE_STEP_CFG)
         assert comparison.shared_prefix == (7, 7, 7, 7)
         assert comparison.shared_members == (2, 3, 4)
         assert comparison.shared_size == 3
 
     def test_prefix_probability_decreases_under_both(self):
         policy, _, group = exploitation_scenario()
-        comparison = one_step_comparison(policy, group, GRPO_CFG, learn_rate=0.5)
+        comparison = one_step_comparison(policy, group, ONE_STEP_CFG)
         assert comparison.grpo.prefix_prob_delta < 0.0
         assert comparison.lam.prefix_prob_delta < 0.0
         # the uncorrected objective pushes harder
@@ -250,7 +264,7 @@ class TestExploitation:
 
     def test_shared_gradient_ratio_is_member_count(self):
         policy, _, group = exploitation_scenario()
-        comparison = one_step_comparison(policy, group, GRPO_CFG, learn_rate=0.5)
+        comparison = one_step_comparison(policy, group, ONE_STEP_CFG)
         for ctx, vec in comparison.grpo.shared_gradient.items():
             lam_vec = comparison.lam.shared_gradient[ctx]
             for a, b in zip(vec, lam_vec):
@@ -261,8 +275,8 @@ class TestExploitation:
         # the shared set's tokens, so even the full gradients differ by
         # exactly the member count there
         policy, _, group = exploitation_scenario()
-        grpo = analytic_gradient(policy, group, "grpo", GRPO_CFG)
-        lam = analytic_gradient(policy, group, "lambda", LAMBDA_CFG)
+        grpo = analytic_gradient(policy, group, *gradient_inputs(group, "grpo"))
+        lam = analytic_gradient(policy, group, *gradient_inputs(group, "lambda"))
         for ctx in ((7,), (7, 7), (7, 7, 7)):
             for a, b in zip(grpo[ctx], lam[ctx]):
                 assert a == pytest.approx(3.0 * b, rel=1e-12, abs=1e-300)
@@ -314,10 +328,38 @@ class TestExperiment:
         assert expected_reward(policy, env) == pytest.approx(0.25 * 1.0 + 0.25 * 2.0)
         assert best_sequence(env) == (1, 1)
 
-    def test_beta_unsupported(self):
-        with pytest.raises(ValueError):
-            SimConfig(beta=0.1)
-
     def test_objective_validated(self):
         with pytest.raises(ValueError):
             SimConfig(objective="ppo")
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Calls of ``build_process_tree`` and ``reward_stats`` made by ``sim``."""
+    counts = {"build_process_tree": 0, "reward_stats": 0}
+    for name in counts:
+        original = getattr(steptree.sim, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(steptree.sim, name, counted)
+    return counts
+
+
+class TestWorkCounts:
+    def test_experiment_derives_each_step_once(self, derivations):
+        config = SimConfig(seed=3, k=6, steps=5, learn_rate=0.5, objective="lambda")
+        run_experiment(ToyPolicy(vocab_size=3, horizon=4), small_env(), config)
+        assert derivations == {"build_process_tree": 5, "reward_stats": 5}
+
+    def test_finite_difference_derives_once(self, derivations):
+        policy, _, group = exploitation_scenario()
+        assert finite_diff_check(policy, group, "lambda", LAMBDA_CFG) <= 1e-4
+        assert derivations == {"build_process_tree": 1, "reward_stats": 1}
+
+    def test_one_step_comparison_builds_one_tree(self, derivations):
+        policy, _, group = exploitation_scenario()
+        one_step_comparison(policy, group, ONE_STEP_CFG)
+        assert derivations["build_process_tree"] == 1

@@ -1,7 +1,8 @@
 """Command-line surface: analyze, tree, verify, weights, simulate, report.
 
-Exit status: 0 on success, 1 on verification failure or a strict-mode data
-error, 2 on usage errors (argparse's convention).
+Exit status: 0 on success, 1 on verification failure or an input, option
+or config error (an ``error:`` line), 2 on usage errors (argparse's
+convention).
 """
 
 from __future__ import annotations
@@ -319,9 +320,13 @@ def _parse_sim_config(path: str) -> dict:
             key = key.strip()
             value = value.strip()
             if key.startswith("reward[") and key.endswith("]"):
-                inner = key[len("reward[") : -1]
-                seq = tuple(int(x) for x in inner.split(",") if x.strip() != "")
-                rewards[seq] = float(value)
+                tokens = key[len("reward[") : -1].split(",")
+                try:
+                    rewards[tuple(int(x) for x in tokens if x.strip())] = float(value)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{line_no}: config key {key!r}: bad entry {value!r}"
+                    ) from None
             else:
                 values[key] = value
     if rewards:
@@ -340,14 +345,19 @@ def _sim_from_config(
     unread = dict(raw)
 
     def get(key: str, default, cast=str):
-        return cast(unread.pop(key)) if key in unread else default
+        if key not in unread:
+            return default
+        value = unread.pop(key)
+        try:
+            return cast(value)
+        except ValueError:
+            raise ValueError(f"config key {key!r} has an invalid value {value!r}") from None
 
     scenario = get("scenario", "none")
     if scenario == "exploitation":
         policy, env, group = exploitation_scenario(get("concentration", 3.0, float))
         mode = get("mode", "one_step")
     elif scenario == "none":
-        terminal = get("terminal_token", "none")
         policy = ToyPolicy(
             vocab_size=get("vocab_size", 4, int),
             horizon=get("horizon", 8, int),
@@ -357,7 +367,9 @@ def _sim_from_config(
         env = ToyEnv(
             reward_table=get("reward[...]", {}, dict),
             max_len=get("max_len", 8, int),
-            terminal_token=None if terminal in ("none", "") else int(terminal),
+            terminal_token=get(
+                "terminal_token", None, lambda v: None if v in ("none", "") else int(v)
+            ),
         )
         group = None
         mode = get("mode", "series")
@@ -371,6 +383,8 @@ def _sim_from_config(
             objective=get("objective", GRPO),
         )
     elif mode == "one_step":
+        if group is None:
+            raise ValueError("one_step mode requires scenario = exploitation")
         series = {}  # one step of each objective on the built-in group
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -390,9 +404,6 @@ def _sim_from_config(
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     policy, env, group, config, mode = _sim_from_config(_parse_sim_config(args.config))
-    if mode == "one_step" and group is None:
-        print("one_step mode requires scenario = exploitation", file=sys.stderr)
-        return 2
     if mode == "series":
         header = ("step", "expected_reward", "best_sequence_prob", "objective_value")
         rows = [

@@ -10,7 +10,8 @@ histograms, so partial summaries computed in parallel combine exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -92,7 +93,8 @@ def group_metrics(tree: ProcessTree, group: Group) -> GroupMetrics:
 
 @dataclass
 class StepSeriesEntry:
-    """Per-training-step slice of the aggregate.
+    """Counts and exact sums of a stream of groups: one training step's
+    slice of the aggregate, or, as ``MetricsSummary``, the whole run.
 
     Proportion sums accumulate as exact rationals (floats are binary
     rationals), so partial summaries merge to the full-stream summary
@@ -105,91 +107,19 @@ class StepSeriesEntry:
     depth_sum: int = 0
     proportion_sum: Fraction = Fraction(0)
 
-    def merge(self, other: "StepSeriesEntry") -> "StepSeriesEntry":
-        return StepSeriesEntry(
-            group_count=self.group_count + other.group_count,
-            trajectory_count=self.trajectory_count + other.trajectory_count,
-            trivial_count=self.trivial_count + other.trivial_count,
-            depth_sum=self.depth_sum + other.depth_sum,
-            proportion_sum=self.proportion_sum + other.proportion_sum,
-        )
+    def _absorb(self, other: "StepSeriesEntry") -> None:
+        self.group_count += other.group_count
+        self.trajectory_count += other.trajectory_count
+        self.trivial_count += other.trivial_count
+        self.depth_sum += other.depth_sum
+        self.proportion_sum += other.proportion_sum
 
-    def to_dict(self) -> dict:
-        return {
-            "group_count": self.group_count,
-            "trajectory_count": self.trajectory_count,
-            "trivial_count": self.trivial_count,
-            "trivial_fraction": self.trivial_count / self.group_count
-            if self.group_count
-            else None,
-            "mean_depth": self.depth_sum / self.trajectory_count
-            if self.trajectory_count
-            else None,
-            "mean_proportion": float(self.proportion_sum / self.trajectory_count)
-            if self.trajectory_count
-            else None,
-        }
-
-
-@dataclass
-class MetricsSummary:
-    """Mergeable aggregate over a stream of per-group diagnostics."""
-
-    group_count: int = 0
-    trajectory_count: int = 0
-    trivial_count: int = 0
-    zero_length_count: int = 0
-    depth_sum: int = 0
-    proportion_sum: Fraction = Fraction(0)
-    depth_hist: dict[int, int] = field(default_factory=dict)
-    proportion_hist: dict[int, int] = field(default_factory=dict)
-    per_step: dict[int, StepSeriesEntry] = field(default_factory=dict)
-
-    def add(self, metrics: GroupMetrics) -> None:
-        self.group_count += 1
-        self.trajectory_count += metrics.k
-        if metrics.trivial:
-            self.trivial_count += 1
-        self.zero_length_count += sum(metrics.zero_length)
-        for depth in metrics.path_depth:
-            self.depth_sum += depth
-            self.depth_hist[depth] = self.depth_hist.get(depth, 0) + 1
-        group_p = Fraction(0)
-        for p in metrics.intermediate_proportion:
-            group_p += Fraction(p)
-            bucket = min(int(p * P_BUCKETS), P_BUCKETS - 1)
-            self.proportion_hist[bucket] = self.proportion_hist.get(bucket, 0) + 1
-        self.proportion_sum += group_p
-        if metrics.step is not None:
-            entry = self.per_step.setdefault(metrics.step, StepSeriesEntry())
-            entry.group_count += 1
-            entry.trajectory_count += metrics.k
-            if metrics.trivial:
-                entry.trivial_count += 1
-            entry.depth_sum += sum(metrics.path_depth)
-            entry.proportion_sum += group_p
-
-    def merge(self, other: "MetricsSummary") -> "MetricsSummary":
-        merged = MetricsSummary(
-            group_count=self.group_count + other.group_count,
-            trajectory_count=self.trajectory_count + other.trajectory_count,
-            trivial_count=self.trivial_count + other.trivial_count,
-            zero_length_count=self.zero_length_count + other.zero_length_count,
-            depth_sum=self.depth_sum + other.depth_sum,
-            proportion_sum=self.proportion_sum + other.proportion_sum,
-            depth_hist=dict(self.depth_hist),
-            proportion_hist=dict(self.proportion_hist),
-            per_step={step: replace(e) for step, e in self.per_step.items()},
-        )
-        for depth, count in other.depth_hist.items():
-            merged.depth_hist[depth] = merged.depth_hist.get(depth, 0) + count
-        for bucket, count in other.proportion_hist.items():
-            merged.proportion_hist[bucket] = (
-                merged.proportion_hist.get(bucket, 0) + count
-            )
-        for step, entry in other.per_step.items():
-            mine = merged.per_step.get(step)
-            merged.per_step[step] = replace(entry) if mine is None else mine.merge(entry)
+    def merge(self, other):
+        """A new aggregate of the same type holding both operands' counts;
+        neither operand changes."""
+        merged = type(self)()
+        merged._absorb(self)
+        merged._absorb(other)
         return merged
 
     @property
@@ -198,41 +128,13 @@ class MetricsSummary:
 
     @property
     def mean_depth(self) -> Optional[float]:
-        return (
-            self.depth_sum / self.trajectory_count if self.trajectory_count else None
-        )
+        return self.depth_sum / self.trajectory_count if self.trajectory_count else None
 
     @property
     def mean_proportion(self) -> Optional[float]:
-        return (
-            float(self.proportion_sum / self.trajectory_count)
-            if self.trajectory_count
-            else None
-        )
-
-    def depth_quantile(self, q: float) -> Optional[int]:
-        """Exact q-quantile of per-trajectory path depth."""
-        rank = _quantile_rank(q, self.trajectory_count)
-        if rank is None:
+        if not self.trajectory_count:
             return None
-        seen = 0
-        for depth in sorted(self.depth_hist):
-            seen += self.depth_hist[depth]
-            if seen >= rank:
-                return depth
-        return None
-
-    def proportion_quantile(self, q: float) -> Optional[float]:
-        """q-quantile of intermediate proportion, to within half a bucket."""
-        rank = _quantile_rank(q, self.trajectory_count)
-        if rank is None:
-            return None
-        seen = 0
-        for bucket in sorted(self.proportion_hist):
-            seen += self.proportion_hist[bucket]
-            if seen >= rank:
-                return (bucket + 0.5) / P_BUCKETS
-        return None
+        return float(self.proportion_sum / self.trajectory_count)
 
     def to_dict(self) -> dict:
         return {
@@ -240,28 +142,77 @@ class MetricsSummary:
             "trajectory_count": self.trajectory_count,
             "trivial_count": self.trivial_count,
             "trivial_fraction": self.trivial_fraction,
-            "zero_length_count": self.zero_length_count,
             "mean_depth": self.mean_depth,
             "mean_proportion": self.mean_proportion,
-            "depth_quantiles": {
-                "p50": self.depth_quantile(0.5),
-                "p90": self.depth_quantile(0.9),
-                "p99": self.depth_quantile(0.99),
-            },
-            "proportion_quantiles": {
-                "p50": self.proportion_quantile(0.5),
-                "p90": self.proportion_quantile(0.9),
-                "p99": self.proportion_quantile(0.99),
-            },
-            "depth_hist": {str(k): v for k, v in sorted(self.depth_hist.items())},
-            "proportion_hist": {
-                str(k): v for k, v in sorted(self.proportion_hist.items())
-            },
-            "per_step": {
-                str(step): self.per_step[step].to_dict()
-                for step in sorted(self.per_step)
-            },
         }
+
+    def to_raw_dict(self) -> dict:
+        """The counts and the exact proportion sum, as a fraction string."""
+        return {
+            "group_count": self.group_count,
+            "trajectory_count": self.trajectory_count,
+            "trivial_count": self.trivial_count,
+            "depth_sum": self.depth_sum,
+            "proportion_sum": str(self.proportion_sum),
+        }
+
+
+@dataclass
+class MetricsSummary(StepSeriesEntry):
+    """Mergeable aggregate over a stream of per-group diagnostics."""
+
+    zero_length_count: int = 0
+    depth_hist: Counter[int] = field(default_factory=Counter)
+    proportion_hist: Counter[int] = field(default_factory=Counter)
+    per_step: dict[int, StepSeriesEntry] = field(default_factory=dict)
+
+    def add(self, metrics: GroupMetrics) -> None:
+        proportions = metrics.intermediate_proportion
+        self.zero_length_count += sum(metrics.zero_length)
+        self.depth_hist.update(metrics.path_depth)
+        buckets = (min(int(p * P_BUCKETS), P_BUCKETS - 1) for p in proportions)
+        self.proportion_hist.update(buckets)
+        group_p = sum(map(Fraction, proportions), Fraction(0))
+        group = StepSeriesEntry(
+            1, metrics.k, int(metrics.trivial), sum(metrics.path_depth), group_p
+        )
+        super()._absorb(group)  # totals only: a group has no histograms or steps
+        if metrics.step is not None:
+            self.per_step.setdefault(metrics.step, StepSeriesEntry())._absorb(group)
+
+    def _absorb(self, other: "MetricsSummary") -> None:
+        super()._absorb(other)
+        self.zero_length_count += other.zero_length_count
+        self.depth_hist.update(other.depth_hist)
+        self.proportion_hist.update(other.proportion_hist)
+        for step, entry in other.per_step.items():
+            self.per_step.setdefault(step, StepSeriesEntry())._absorb(entry)
+
+    def depth_quantile(self, q: float) -> Optional[int]:
+        """Exact q-quantile of per-trajectory path depth."""
+        return _hist_quantile(self.depth_hist, q, self.trajectory_count)
+
+    def proportion_quantile(self, q: float) -> Optional[float]:
+        """q-quantile of intermediate proportion, to within half a bucket."""
+        bucket = _hist_quantile(self.proportion_hist, q, self.trajectory_count)
+        return None if bucket is None else (bucket + 0.5) / P_BUCKETS
+
+    def to_dict(self) -> dict:
+        doc = super().to_dict()
+        doc["zero_length_count"] = self.zero_length_count
+        for key in ("mean_depth", "mean_proportion"):
+            doc[key] = doc.pop(key)  # published order: after zero_length_count
+        quantiles = {"p50": 0.5, "p90": 0.9, "p99": 0.99}
+        doc["depth_quantiles"] = {p: self.depth_quantile(q) for p, q in quantiles.items()}
+        doc["proportion_quantiles"] = {
+            p: self.proportion_quantile(q) for p, q in quantiles.items()
+        }
+        for name in ("depth_hist", "proportion_hist"):
+            doc[name] = {str(k): v for k, v in sorted(getattr(self, name).items())}
+        doc["per_step"] = {
+            str(step): entry.to_dict() for step, entry in sorted(self.per_step.items())
+        }
+        return doc
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsSummary":
@@ -294,17 +245,10 @@ class MetricsSummary:
         stays exact across serialization.
         """
         doc = self.to_dict()
-        doc["depth_sum"] = self.depth_sum
-        doc["proportion_sum"] = str(self.proportion_sum)
+        # the counts are already in place, so this appends the two raw sums
+        doc.update(self.to_raw_dict())
         doc["per_step_raw"] = {
-            str(step): {
-                "group_count": e.group_count,
-                "trajectory_count": e.trajectory_count,
-                "trivial_count": e.trivial_count,
-                "depth_sum": e.depth_sum,
-                "proportion_sum": str(e.proportion_sum),
-            }
-            for step, e in sorted(self.per_step.items())
+            str(step): entry.to_raw_dict() for step, entry in sorted(self.per_step.items())
         }
         return doc
 
@@ -340,17 +284,25 @@ def _entry(data: dict, counts: tuple[str, ...], prefix: str = "") -> dict:
     return fields
 
 
-def _hist(data: dict, name: str) -> dict[int, int]:
+def _hist(data: dict, name: str) -> Counter[int]:
     hist = _typed(data[name], dict, name)
-    return {_int_key(k, name): _typed(v, int, f"{name}.{k}") for k, v in hist.items()}
+    return Counter({_int_key(k, name): _typed(v, int, f"{name}.{k}") for k, v in hist.items()})
 
 
-def _quantile_rank(q: float, n: int) -> Optional[int]:
+def _hist_quantile(hist: Counter[int], q: float, n: int) -> Optional[int]:
+    """The smallest key of ``hist`` (``n`` counts in all) whose cumulative
+    count reaches rank ceil(q * n)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("quantile must be in [0, 1]")
     if n == 0:
         return None
-    return max(1, math.ceil(q * n))
+    rank = max(1, math.ceil(q * n))
+    seen = 0
+    for key in sorted(hist):
+        seen += hist[key]
+        if seen >= rank:
+            return key
+    return None
 
 
 def aggregate_metrics(stream: Iterable[GroupMetrics]) -> MetricsSummary:

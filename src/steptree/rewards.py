@@ -12,12 +12,7 @@ from __future__ import annotations
 import math
 
 from .core import Group, RewardStats, normalized_advantage
-from .tree import ProcessNode, ProcessTree, TokenAssignment
-
-
-def step_reward(node: ProcessNode, group: Group) -> float:
-    """Mean outcome reward of the node's members."""
-    return math.fsum(group.trajectories[i].reward for i in node.members) / node.size
+from .tree import ProcessTree, TokenAssignment
 
 
 def step_rewards(tree: ProcessTree, group: Group) -> tuple[float, ...]:

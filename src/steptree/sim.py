@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -111,13 +111,7 @@ class ToyPolicy:
         return out
 
     def copy(self) -> "ToyPolicy":
-        return ToyPolicy(
-            vocab_size=self.vocab_size,
-            horizon=self.horizon,
-            temperature=self.temperature,
-            context_order=self.context_order,
-            logits={ctx: list(vec) for ctx, vec in self.logits.items()},
-        )
+        return replace(self, logits={ctx: list(vec) for ctx, vec in self.logits.items()})
 
     def apply_gradient(self, gradient: GradientTable, learn_rate: float) -> None:
         """Ascend the objective: logits += learn_rate * gradient."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import Group
 
@@ -63,10 +63,6 @@ class ProcessTree:
     leaves: dict[int, ProcessNode]
     max_len: int
 
-    @property
-    def k(self) -> int:
-        return self.root.size
-
 
 @dataclass(eq=False)
 class TokenAssignment:
@@ -76,11 +72,6 @@ class TokenAssignment:
 
     def owner(self, i: int, t: int) -> ProcessNode:
         return self.owners[i][t]
-
-    def items(self) -> Iterator[tuple[int, int, ProcessNode]]:
-        for i, row in enumerate(self.owners):
-            for t, node in enumerate(row):
-                yield i, t, node
 
 
 def build_process_tree(group: Group) -> ProcessTree:
@@ -177,17 +168,6 @@ def assign_tokens(tree: ProcessTree) -> TokenAssignment:
     return TokenAssignment(
         owners=tuple(tuple(rows[i]) for i in sorted(rows))
     )
-
-
-def partition_at(tree: ProcessTree, t: int) -> list[ProcessNode]:
-    """All nodes whose span contains position t, in node-id order.
-
-    Their member sets are pairwise disjoint and cover exactly the
-    trajectories longer than t.
-    """
-    if not 0 <= t < tree.max_len:
-        raise IndexError(f"position {t} outside [0, {tree.max_len})")
-    return [n for n in tree.nodes if n.span_start <= t < n.span_end]
 
 
 def is_trivial(tree: ProcessTree) -> bool:

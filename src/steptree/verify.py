@@ -48,13 +48,11 @@ from .tree import (
     assign_tokens,
     build_process_tree,
     is_trivial,
-    partition_at,
 )
 
 BERNOULLI = "bernoulli"
 UNIFORM = "uniform"
-CONSTANT = "constant"
-REWARD_DISTS = (BERNOULLI, UNIFORM, CONSTANT)
+REWARD_DISTS = (BERNOULLI, UNIFORM)
 
 LOGP_ABSENT = "absent"
 LOGP_RANDOM_CONSISTENT = "random_consistent"
@@ -109,9 +107,7 @@ class GenParams:
 def _draw_reward(rng: random.Random, dist: str) -> float:
     if dist == BERNOULLI:
         return 1.0 if rng.random() < 0.5 else 0.0
-    if dist == UNIFORM:
-        return rng.random()
-    return 0.5
+    return rng.random()
 
 
 def generate_random_group(params: GenParams, index: int) -> Group:
@@ -289,18 +285,6 @@ class VerificationReport:
         if entry.rel_gap > self.tol:
             self.failures.append((entry.query_id, entry.rel_gap))
 
-    def merge(self, other: "VerificationReport") -> "VerificationReport":
-        if other.tol != self.tol:
-            raise ValueError("cannot merge reports with different tolerances")
-        return VerificationReport(
-            tol=self.tol,
-            groups_checked=self.groups_checked + other.groups_checked,
-            max_abs_gap=max(self.max_abs_gap, other.max_abs_gap),
-            max_rel_gap=max(self.max_rel_gap, other.max_rel_gap),
-            trivial_count=self.trivial_count + other.trivial_count,
-            failures=self.failures + other.failures,
-        )
-
     @property
     def passed(self) -> bool:
         return not self.failures
@@ -419,6 +403,18 @@ def _partition_value(
     return math.fsum(values) / total if total else 0.0
 
 
+def _span_partitions(tree: ProcessTree) -> list[list[ProcessNode]]:
+    """Entry t lists the nodes whose span contains position t, in node-id order.
+
+    One sweep over the node spans fills every entry.
+    """
+    partitions: list[list[ProcessNode]] = [[] for _ in range(tree.max_len)]
+    for node in tree.nodes:
+        for t in range(node.span_start, node.span_end):
+            partitions[t].append(node)
+    return partitions
+
+
 def verify_proof_identities(
     group: Group,
     configs: Sequence[ObjectiveConfig],
@@ -445,7 +441,7 @@ def verify_proof_identities(
     assignment = assign_tokens(tree)
     rewards = step_rewards(tree, group)
     steps = step_advantages(tree, assignment, group, stats)
-    partitions = [partition_at(tree, t) for t in range(tree.max_len)]
+    partitions = _span_partitions(tree)
     total = group.total_tokens
     gaps = []
     for config in configs:
@@ -519,6 +515,8 @@ def run_verification(
     Returns the equivalence report and, unless disabled, the identity
     report (at ``IDENTITY_TOL``). Every group is checked under every config.
     """
+    if n_groups < 0:
+        raise ValueError(f"the number of random groups must be >= 0, got {n_groups}")
     if configs is None:
         configs = verification_configs()
     needs_logps = any(

@@ -1,7 +1,7 @@
 """Brute-force oracles, independent of the package internals.
 
-Everything here works on plain token/reward lists and enumerates
-explicitly, so the tests can compare the package's radix construction and
+Everything here enumerates explicitly, mostly on plain token/reward
+lists, so the tests can compare the package's radix construction and
 single-pass evaluations against definitions computed the slow way.
 """
 
@@ -61,6 +61,22 @@ def owner_of(spans, i, t):
     hits = [m for m, (s, e) in spans.items() if i in m and s <= t < e]
     assert len(hits) == 1, f"token ({i},{t}) owned by {len(hits)} sets"
     return hits[0]
+
+
+def partition_at(tree, t):
+    """All nodes of a built tree whose span contains position t, in node-id order.
+
+    Their member sets are pairwise disjoint and cover exactly the
+    trajectories longer than t.
+    """
+    if not 0 <= t < tree.max_len:
+        raise IndexError(f"position {t} outside [0, {tree.max_len})")
+    return [n for n in tree.nodes if n.span_start <= t < n.span_end]
+
+
+def step_reward(node, group):
+    """Mean outcome reward of a tree node's members."""
+    return math.fsum(group.trajectories[i].reward for i in node.members) / node.size
 
 
 def mean_std(rewards, std_mode="sample"):

@@ -275,6 +275,18 @@ class TestVerify:
     def test_needs_input_or_random(self, capsys):
         assert main(["verify"]) == 2
 
+    def test_negative_random_count_is_an_error(self, capsys):
+        assert main(["verify", "--random", "-5", "--skip-identities"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "-5" in captured.err
+
+    def test_zero_random_count_checks_the_edge_cases(self, capsys):
+        assert main(["verify", "--random", "0", "--skip-identities"]) == 0
+        out = capsys.readouterr().out
+        assert f"equivalence: {len(degenerate_groups(True))} group(s)" in out
+
 
 @pytest.mark.parametrize(
     "args, named",
@@ -443,6 +455,34 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith(f"error: config key {key!r} is not read")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("seed = 1.5\n", "seed"),
+            ("steps = x\n", "steps"),
+            ("terminal_token = end\n", "terminal_token"),
+            ("scenario = exploitation\nconcentration = big\n", "concentration"),
+            ("reward[1,x] = 1\n", "reward[1,x]"),
+            ("reward[1] = abc\n", "reward[1]"),
+        ],
+    )
+    def test_unparsable_value_names_its_key(self, tmp_path, capsys, text, key):
+        config = tmp_path / "sim.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert main(["simulate", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert f"config key {key!r}" in captured.err
+
+    def test_one_step_without_exploitation_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "sim.cfg"
+        config.write_text("mode = one_step\n", encoding="utf-8")
+        assert main(["simulate", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: one_step mode requires scenario = exploitation\n"
+
     def test_readme_configs_run(self, tmp_path, capsys):
         blocks = README.read_text(encoding="utf-8").split("```ini\n")[1:]
         assert len(blocks) == 2
@@ -450,6 +490,15 @@ class TestSimulate:
             config = tmp_path / f"readme{n}.cfg"
             config.write_text(block.split("```")[0], encoding="utf-8")
             assert main(["simulate", str(config), "-o", str(tmp_path / "out.csv")]) == 0
+
+
+def test_readme_quick_tour_runs():
+    # every name the tour uses must still exist in the package
+    blocks = README.read_text(encoding="utf-8").split("```python\n")[1:]
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), namespace)
+    assert namespace["stepwise"].value == pytest.approx(namespace["plain"].value)
 
 
 def _summary_text(**fields) -> str:
@@ -500,6 +549,27 @@ class TestReport:
             main(["report", str(paths["a"]), str(paths["b"]), "-o", str(merged)]) == 0
         )
         assert json.loads(merged.read_text()) == json.loads(paths["full"].read_text())
+
+    def test_summary_golden_bytes(self, tmp_path):
+        # the dump holds per-step groups, groups without a step, trivial
+        # groups and a zero-length completion
+        out = tmp_path / "summary.json"
+        dump = GOLDEN / "summary_dump.jsonl"
+        assert main(["analyze", str(dump), "--csv", str(tmp_path / "m.csv"), "--summary", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "summary.json").read_bytes()
+
+    def test_report_golden_bytes(self, tmp_path):
+        lines = (GOLDEN / "summary_dump.jsonl").read_text(encoding="utf-8").splitlines(True)
+        parts = []
+        for n, half in enumerate((lines[:15], lines[15:])):
+            dump = tmp_path / f"half{n}.jsonl"
+            dump.write_text("".join(half), encoding="utf-8")
+            parts.append(str(tmp_path / f"half{n}.json"))
+            csv_out = str(tmp_path / "m.csv")
+            assert main(["analyze", str(dump), "--csv", csv_out, "--summary", parts[-1]]) == 0
+        out = tmp_path / "report.json"
+        assert main(["report", *parts, "-o", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "report.json").read_bytes()
 
     @pytest.mark.parametrize(
         "text, named",

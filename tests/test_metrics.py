@@ -162,6 +162,18 @@ class TestAggregate:
         ba = b.merge(a)
         assert ab.to_mergeable_dict() == ba.to_mergeable_dict()
 
+    def test_merge_shares_no_state_with_its_inputs(self):
+        a = aggregate_metrics([metrics_of(make_overlap_group(step=1))])
+        b = aggregate_metrics(
+            [metrics_of(make_overlap_group(step=2)), metrics_of(make_trivial_group())]
+        )
+        before = (a.to_mergeable_dict(), b.to_mergeable_dict())
+        for merged in (a.merge(b), MetricsSummary().merge(a).merge(b)):
+            for step in (1, 2, None):
+                merged.add(metrics_of(make_overlap_group(step=step)))
+            merged.add(metrics_of(make_trivial_group()))
+        assert (a.to_mergeable_dict(), b.to_mergeable_dict()) == before
+
     def test_serialization_round_trip(self, overlap_group):
         summary = aggregate_metrics(
             [metrics_of(make_overlap_group(step=3)), metrics_of(make_trivial_group())]

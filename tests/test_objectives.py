@@ -11,17 +11,16 @@ from steptree import (
     assign_tokens,
     build_process_tree,
     group_from_sequences,
-    kl_terms,
     lambda_weights,
     objective_grpo,
     objective_lambda,
     objective_prm,
     outcome_advantages,
-    ratio_terms,
     reward_stats,
     step_advantages,
     token_terms,
 )
+from steptree.objectives import kl_terms, ratio_terms
 from steptree.verify import GenParams, generate_random_group
 
 from oracles import node_sum_lambda, node_sum_prm, token_sum_grpo, token_sum_lambda
@@ -219,9 +218,9 @@ class TestObjectiveLambda:
 
     def test_duplicate_pair_down_weighted(self, duplicate_group):
         grpo, _, lam, assignment = full_eval(duplicate_group)
-        for i, t, node in assignment.items():
-            expect = grpo.per_token_terms[i][t] / node.size
-            assert lam.per_token_terms[i][t] == expect
+        for i, row in enumerate(assignment.owners):
+            for t, node in enumerate(row):
+                assert lam.per_token_terms[i][t] == grpo.per_token_terms[i][t] / node.size
         # the duplicated span really is halved
         assert assignment.owner(0, 1).size == 2
         assert lam.per_token_terms[0][1] == grpo.per_token_terms[0][1] / 2.0
@@ -229,13 +228,14 @@ class TestObjectiveLambda:
     def test_scaling_law_per_token(self, overlap_group_logps):
         config = ObjectiveConfig(beta=0.04, assume_unit_ratio=False)
         grpo, _, lam, assignment = full_eval(overlap_group_logps, config)
-        for i, t, node in assignment.items():
-            # division identity holds bitwise by construction
-            assert lam.per_token_terms[i][t] == grpo.per_token_terms[i][t] / node.size
-            # multiplicative form within a rounding
-            assert node.size * lam.per_token_terms[i][t] == pytest.approx(
-                grpo.per_token_terms[i][t], rel=1e-12, abs=1e-300
-            )
+        for i, row in enumerate(assignment.owners):
+            for t, node in enumerate(row):
+                # division identity holds bitwise by construction
+                assert lam.per_token_terms[i][t] == grpo.per_token_terms[i][t] / node.size
+                # multiplicative form within a rounding
+                assert node.size * lam.per_token_terms[i][t] == pytest.approx(
+                    grpo.per_token_terms[i][t], rel=1e-12, abs=1e-300
+                )
 
 
 class TestLambdaWeights:

@@ -9,10 +9,10 @@ from steptree import (
     outcome_advantages,
     reward_stats,
     step_advantages,
-    step_reward,
 )
-from steptree.tree import partition_at
 from steptree.verify import GenParams, generate_random_group
+
+from oracles import partition_at, step_reward
 
 SHARED_TRIO_ADV = -0.22140372138502393  # (1/3 - mean) / std for the overlap fixture
 
@@ -97,9 +97,10 @@ class TestStepAdvantages:
         stats = reward_stats(overlap_group)
         steps = step_advantages(tree, assignment, overlap_group, stats)
         adv = outcome_advantages(overlap_group, stats)
-        for i, t, node in assignment.items():
-            if node.size == 1:
-                assert steps[i][t] == adv[i]
+        for i, row in enumerate(assignment.owners):
+            for t, node in enumerate(row):
+                if node.size == 1:
+                    assert steps[i][t] == adv[i]
 
     def test_full_domain(self, overlap_group):
         tree = build_process_tree(overlap_group)

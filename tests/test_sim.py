@@ -146,7 +146,7 @@ class TestRollout:
         tree = build_process_tree(group)
         assert tree.root.span_end == 4
         assignment = assign_tokens(tree)
-        assert all(node.size == 5 for _, _, node in assignment.items())
+        assert all(node.size == 5 for row in assignment.owners for node in row)
 
 
 class TestGradients:

@@ -10,13 +10,12 @@ from steptree import (
     export_tree,
     group_from_sequences,
     is_trivial,
-    partition_at,
     step_rewards,
 )
 from steptree.verify import GenParams, generate_random_group
 
 from conftest import OVERLAP_SEQS, make_trivial_group
-from oracles import enumerate_process_sets, lcp_len, owner_of
+from oracles import enumerate_process_sets, lcp_len, owner_of, partition_at
 
 # brute-force enumeration of the overlap fixture: members -> (start, end)
 OVERLAP_NODES = {
@@ -191,8 +190,8 @@ class TestAssignment:
 
     def test_trivial_tree_owners_are_singletons(self, trivial_group):
         assignment = assign_tokens(build_process_tree(trivial_group))
-        for i, t, node in assignment.items():
-            assert node.members == frozenset({i})
+        for i, row in enumerate(assignment.owners):
+            assert all(node.members == frozenset({i}) for node in row)
 
 
 class TestPartition:

@@ -5,6 +5,7 @@ import pytest
 from steptree import (
     ObjectiveConfig,
     build_process_tree,
+    group_from_sequences,
     is_trivial,
     verify_proof_identities,
     verify_equivalence,
@@ -13,11 +14,14 @@ from steptree.verify import (
     GenParams,
     LOGP_RANDOM_CONSISTENT,
     VerificationReport,
+    _span_partitions,
     degenerate_groups,
     generate_random_group,
     run_verification,
     verification_configs,
 )
+
+from oracles import partition_at
 
 UNIT = ObjectiveConfig(beta=0.0, assume_unit_ratio=True)
 FULL = ObjectiveConfig(beta=0.04, assume_unit_ratio=False)
@@ -214,23 +218,22 @@ class TestIdentities:
         assert entry.value_a < 0.0
 
 
+    def test_swept_partitions_match_the_oracle(self):
+        params = GenParams(seed=14, k_range=(2, 8), length_range=(0, 12), fork_bias=0.6)
+        groups = [generate_random_group(params, index) for index in range(40)]
+        # duplicates, exact prefixes, zero-length completions
+        groups += degenerate_groups(False)
+        groups.append(group_from_sequences("chain", [[1] * (j + 1) for j in range(30)], [0.0] * 30))
+        groups.append(group_from_sequences("all-empty", [(), ()], [0.0, 1.0]))
+        for group in groups:
+            tree = build_process_tree(group)
+            partitions = _span_partitions(tree)
+            assert len(partitions) == tree.max_len
+            for t, partition in enumerate(partitions):
+                assert partition == partition_at(tree, t), (group.query_id, t)
+
+
 class TestReport:
-    def test_merge(self):
-        a = VerificationReport(tol=1e-9)
-        b = VerificationReport(tol=1e-9)
-        params = GenParams(seed=17)
-        for index in range(10):
-            entry = verify_equivalence(generate_random_group(params, index), [UNIT])
-            (a if index % 2 else b).record(entry)
-        merged = a.merge(b)
-        assert merged.groups_checked == 10
-        assert merged.max_rel_gap == max(a.max_rel_gap, b.max_rel_gap)
-        assert merged.trivial_count == a.trivial_count + b.trivial_count
-
-    def test_merge_requires_same_tol(self):
-        with pytest.raises(ValueError):
-            VerificationReport(tol=1e-9).merge(VerificationReport(tol=1e-12))
-
     def test_failures_recorded_not_raised(self):
         report = VerificationReport(tol=1e-30)
         params = GenParams(seed=18, fork_bias=0.9, logp_mode=LOGP_RANDOM_CONSISTENT)

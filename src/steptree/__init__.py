@@ -1,6 +1,8 @@
 """Process-set trees, step-level rewards, and objective cross-checks for
 group-relative policy optimization."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     DEFAULT_EPSILON,
     Group,
@@ -55,6 +57,7 @@ from .verify import (
     GenParams,
     IDENTITY_TOL,
     VerificationReport,
+    derive_group,
     generate_random_group,
     run_verification,
     verify_proof_identities,
@@ -63,58 +66,9 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigurationError",
-    "DEFAULT_BETA",
-    "DEFAULT_EPSILON",
-    "DEFAULT_TOL",
-    "GenParams",
-    "Group",
-    "GroupMetrics",
-    "GRPO",
-    "IDENTITY_TOL",
-    "LAMBDA",
-    "MetricsSummary",
-    "ObjectiveConfig",
-    "ObjectiveReport",
-    "POPULATION",
-    "PRM",
-    "ProcessNode",
-    "ProcessTree",
-    "RewardStats",
-    "SAMPLE",
-    "SimConfig",
-    "TokenAssignment",
-    "TokenTerms",
-    "ToyEnv",
-    "ToyPolicy",
-    "Trajectory",
-    "VerificationReport",
-    "aggregate_metrics",
-    "analytic_gradient",
-    "assign_tokens",
-    "build_process_tree",
-    "exploitation_scenario",
-    "export_tree",
-    "finite_diff_check",
-    "generate_random_group",
-    "group_from_sequences",
-    "group_metrics",
-    "is_trivial",
-    "lambda_weights",
-    "node_gradient",
-    "objective_grpo",
-    "objective_lambda",
-    "objective_prm",
-    "one_step_comparison",
-    "outcome_advantages",
-    "reward_stats",
-    "rollout_group",
-    "run_experiment",
-    "run_verification",
-    "step_advantages",
-    "step_rewards",
-    "token_terms",
-    "verify_proof_identities",
-    "verify_equivalence",
-]
+# the public names are exactly the ones imported above
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -55,6 +55,7 @@ from .verify import (
     GenParams,
     IDENTITY_TOL,
     VerificationReport,
+    derive_group,
     run_verification,
     verification_configs,
     verify_proof_identities,
@@ -228,10 +229,9 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     for group in _read_groups(args.input, args.strict):
         if group.query_id == args.group_id:
             tree = build_process_tree(group)
+            parts = export_tree(tree, group, args.format, step_rewards(tree, group))
             with _open_out(args.output) as out:
-                out.write(
-                    export_tree(tree, group, args.format, step_rewards(tree, group))
-                )
+                out.writelines(parts)
             return 0
     print(f"no group with query_id {args.group_id!r}", file=sys.stderr)
     return 1
@@ -245,8 +245,13 @@ def _print_report(name: str, report: Optional[VerificationReport]) -> None:
         f"{name}: {report.groups_checked} group(s), {report.trivial_count} trivial, "
         f"max rel gap {report.max_rel_gap:.3e} (tol {report.tol:.1e}) ... {status}"
     )
-    for query_id, gap in report.failures[:5]:
-        print(f"  failure: query_id={query_id} rel_gap={gap:.3e}")
+    for entry in report.failures[:5]:
+        config = entry.config
+        print(
+            f"  failure: query_id={entry.query_id} rel_gap={entry.rel_gap:.3e} "
+            f"check={entry.check} "
+            f"config=beta={config.beta!r},unit_ratio={int(config.assume_unit_ratio)}"
+        )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -276,11 +281,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         for group in _read_groups(args.input, args.strict):
             configs = [effective_config(group, args.beta, assume_unit_ratio=False)]
-            equivalence.record(verify_equivalence(group, configs, args.std, args.eps))
+            derived = derive_group(group, configs, args.std, args.eps)
+            equivalence.record(verify_equivalence(derived))
             if identities is not None:
-                identities.record(
-                    verify_proof_identities(group, configs, args.std, args.eps)
-                )
+                identities.record(verify_proof_identities(derived))
+            del derived  # not held while the next group is read
     _print_report("equivalence", equivalence)
     _print_report("identities", identities)
     failed = bool(equivalence.failures) or bool(identities and identities.failures)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Group, check_nonnegative
@@ -124,7 +124,7 @@ def token_terms(group: Group, config: ObjectiveConfig) -> TokenTerms:
 
 def lambda_weights(assignment: TokenAssignment) -> list[list[float]]:
     """Per-token weights 1/|owning process set|, each in (0, 1]."""
-    return [[1.0 / node.size for node in row] for row in assignment.owners]
+    return [[1.0 / size for size in row] for row in assignment.sizes]
 
 
 def _token_sum(
@@ -141,19 +141,14 @@ def _token_sum(
     """
     p, d, beta = terms
     term_rows = tuple(
-        tuple(
-            (p_t * a_t - beta * d_t) / s_t
-            for p_t, a_t, d_t, s_t in zip(p_row, a_row, d_row, s_row)
-        )
-        for p_row, a_row, d_row, s_row in zip(
-            p, advantage_rows, d, divisor_rows, strict=True
-        )
+        [
+            tuple([(p_t * a_t - beta * d_t) / s_t for p_t, a_t, d_t, s_t in zip(*rows)])
+            for rows in zip(p, advantage_rows, d, divisor_rows, strict=True)
+        ]
     )
     total_tokens = group.total_tokens
     value = (
-        math.fsum(term for row in term_rows for term in row) / total_tokens
-        if total_tokens
-        else 0.0
+        math.fsum(chain.from_iterable(term_rows)) / total_tokens if total_tokens else 0.0
     )
     return ObjectiveReport(
         objective=objective,
@@ -201,5 +196,5 @@ def objective_lambda(
     |owning set|: process sets contribute equally at every position instead
     of in proportion to their size.
     """
-    sizes = ([node.size for node in row] for row in assignment.owners)
-    return _token_sum(LAMBDA, group, [repeat(a) for a in advantages], sizes, terms)
+    advantage_rows = [repeat(a) for a in advantages]
+    return _token_sum(LAMBDA, group, advantage_rows, assignment.sizes, terms)

@@ -24,6 +24,7 @@ from .core import (
     SAMPLE,
     STD_MODES,
     Trajectory,
+    check_nonnegative,
     outcome_advantages,
     reward_stats,
 )
@@ -64,8 +65,8 @@ class ToyPolicy:
             raise ValueError("vocab_size must be in [2, 16]")
         if not 1 <= self.horizon <= 12:
             raise ValueError("horizon must be in [1, 12]")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError("temperature must be finite and > 0")
         if self.context_order < 0:
             raise ValueError("context_order must be >= 0")
         for ctx, vec in self.logits.items():
@@ -139,6 +140,8 @@ class ToyEnv:
             raise ValueError("max_len must be >= 1")
         self.reward_table = {tuple(k): float(v) for k, v in self.reward_table.items()}
         for seq in self.reward_table:
+            if not seq:
+                raise ValueError("reward[] is the empty sequence, which no rollout ends on")
             if len(seq) > self.max_len:
                 raise ValueError(f"reward sequence {seq} longer than max_len")
             if self.terminal_token is not None and self.terminal_token in seq[:-1]:
@@ -172,6 +175,7 @@ class SimConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
+        check_nonnegative(self.learn_rate, "learn_rate")
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.steps < 0:
@@ -442,14 +446,15 @@ def run_experiment(
     Each row reports the policy used for that step's sampling (expected
     reward and the probability of the best table sequence) together with
     the sampled group's objective value; the policy is updated in place.
-    Reward-table tokens outside the policy's vocabulary are rejected.
+    Reward-table and terminal tokens outside the policy's vocabulary are
+    rejected.
     """
+    vocab = f"the vocabulary [0, {policy.vocab_size})"
     for seq in env.reward_table:
         if any(not 0 <= tok < policy.vocab_size for tok in seq):
-            raise ValueError(
-                f"reward sequence {seq} has a token outside the vocabulary "
-                f"[0, {policy.vocab_size})"
-            )
+            raise ValueError(f"reward sequence {seq} has a token outside {vocab}")
+    if env.terminal_token is not None and not 0 <= env.terminal_token < policy.vocab_size:
+        raise ValueError(f"terminal_token {env.terminal_token} is outside {vocab}")
     best = best_sequence(env)
     obj_config = ObjectiveConfig(beta=0.0, assume_unit_ratio=True)
     records = []

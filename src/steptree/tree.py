@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import Group
 
@@ -66,9 +66,10 @@ class ProcessTree:
 
 @dataclass(eq=False)
 class TokenAssignment:
-    """Unique owning node for every token of every trajectory."""
+    """The owning node of every token of every trajectory, and that node's size."""
 
     owners: tuple[tuple[ProcessNode, ...], ...]
+    sizes: tuple[tuple[int, ...], ...]
 
     def owner(self, i: int, t: int) -> ProcessNode:
         return self.owners[i][t]
@@ -146,27 +147,28 @@ def build_process_tree(group: Group) -> ProcessTree:
 
 
 def assign_tokens(tree: ProcessTree) -> TokenAssignment:
-    """Map every (trajectory, position) to its unique owning node.
+    """Map every (trajectory, position) to its unique owning node and its size.
 
     The spans along each root-to-leaf path are contiguous and disjoint, so
-    filling positions node by node yields a total assignment.
+    filling each node's span slice, node by node, yields a total assignment.
     """
     # leaf.span_end equals the trajectory length, so each row is sized to
     # its trajectory
     rows = {i: [None] * leaf.span_end for i, leaf in tree.leaves.items()}
+    sizes = {i: [0] * leaf.span_end for i, leaf in tree.leaves.items()}
     for node in tree.nodes:
-        if node.span_len == 0:
-            continue
-        span = range(node.span_start, node.span_end)
+        span = slice(node.span_start, node.span_end)
+        owned, size = [node] * node.span_len, [node.size] * node.span_len
         for i in node.members:
-            row = rows[i]
-            for t in span:
-                row[t] = node
+            rows[i][span] = owned
+            sizes[i][span] = size
     for i, row in rows.items():
         if None in row:
             raise RuntimeError(f"trajectory {i} has tokens outside every span")
+    order = sorted(rows)
     return TokenAssignment(
-        owners=tuple(tuple(rows[i]) for i in sorted(rows))
+        owners=tuple(tuple(rows[i]) for i in order),
+        sizes=tuple(tuple(sizes[i]) for i in order),
     )
 
 
@@ -180,11 +182,13 @@ def export_tree(
     group: Group,
     format: str,
     step_rewards: Sequence[float],
-) -> str:
+) -> Iterator[str]:
     """Render the tree as a Graphviz DOT document or nested JSON.
 
-    ``step_rewards`` (indexed by node id, as from ``rewards.step_rewards``)
-    labels each node with its step reward.
+    The document comes as consecutive text parts, so a caller can write it
+    out while it is rendered: the indented JSON of a deep tree grows with
+    the cube of its depth. ``step_rewards`` (indexed by node id, as from
+    ``rewards.step_rewards``) labels each node with its step reward.
     """
     if format == DOT:
         return _export_dot(tree, group, step_rewards)
@@ -207,11 +211,9 @@ def _token_label(tokens: list[int]) -> str:
 
 def _export_dot(
     tree: ProcessTree, group: Group, step_rewards: Sequence[float]
-) -> str:
-    lines = [
-        "digraph process_tree {",
-        '  node [shape=box, style=filled, fillcolor="#ffffff"];',
-    ]
+) -> Iterator[str]:
+    yield "digraph process_tree {\n"
+    yield '  node [shape=box, style=filled, fillcolor="#ffffff"];\n'
     for node in tree.nodes:
         members = ",".join(f"g{i}" for i in node.sorted_members())
         label = f"{{{members}}}\\n[{node.span_start},{node.span_end})"
@@ -224,17 +226,16 @@ def _export_dot(
             attrs.append('fillcolor="#f8cecc"')
         elif node.is_leaf:
             attrs.append('fillcolor="#fff2cc"')
-        lines.append(f"  n{node.node_id} [{', '.join(attrs)}];")
+        yield f"  n{node.node_id} [{', '.join(attrs)}];\n"
     for node in tree.nodes:
         for child in node.children:
-            lines.append(f"  n{node.node_id} -> n{child.node_id};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f"  n{node.node_id} -> n{child.node_id};\n"
+    yield "}\n"
 
 
 def _export_json(
     tree: ProcessTree, group: Group, step_rewards: Sequence[float]
-) -> str:
+) -> Iterator[str]:
     """The nested document as ``json.dumps(doc, indent=2)`` renders it.
 
     Each node is rendered on its own with empty ``children`` and indented
@@ -245,12 +246,12 @@ def _export_json(
         {"query_id": group.query_id, "k": group.k, "node_count": len(tree.nodes)},
         indent=2,
     )
-    parts = [head[:-2], ',\n  "root": ']
+    yield head[:-2] + ',\n  "root": '
     stack: list = [(tree.root, "  ")]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
-            parts.append(item)
+            yield item
             continue
         node, pad = item
         fields = {
@@ -264,15 +265,14 @@ def _export_json(
         }
         text = json.dumps(fields, indent=2).replace("\n", "\n" + pad)
         if not node.children:
-            parts.append(text)
+            yield text
             continue
         inner = pad + "    "
         # drop the closing "[]" and "}", which follow the children
-        parts.append(text[: -len(pad) - 4] + "[\n" + inner)
+        yield text[: -len(pad) - 4] + "[\n" + inner
         stack.append(f"\n{pad}  ]\n{pad}}}")
         for n, child in enumerate(reversed(node.children)):
             if n:
                 stack.append(",\n" + inner)
             stack.append((child, inner))
-    parts.append("\n}\n")
-    return "".join(parts)
+    yield "\n}\n"

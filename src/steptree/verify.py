@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     DEFAULT_EPSILON,
@@ -35,6 +35,7 @@ from .core import (
 from .objectives import (
     DEFAULT_BETA,
     ObjectiveConfig,
+    ObjectiveReport,
     TokenTerms,
     objective_grpo,
     objective_lambda,
@@ -138,20 +139,14 @@ def generate_random_group(params: GenParams, index: int) -> Group:
         if mode == "duplicate":
             src = rng.randrange(j)
             tokens = list(seqs[src])
-        elif mode == "prefix":
+        elif mode in ("prefix", "fork"):
             src = rng.randrange(j)
             # at least one shared token whenever the source has any
             cut = rng.randint(1, len(seqs[src])) if seqs[src] else 0
             tokens = list(seqs[src][:cut])
-        elif mode == "fork":
-            src = rng.randrange(j)
-            cut = rng.randint(1, len(seqs[src])) if seqs[src] else 0
-            tokens = list(seqs[src][:cut])
-            while len(tokens) < target:
-                tokens.append(rng.randrange(params.vocab_size))
-        else:
-            if params.force_distinct_first and target > 0:
-                tokens.append(j)
+        elif params.force_distinct_first and target > 0:
+            tokens.append(j)
+        if mode in ("fork", "fresh"):
             while len(tokens) < target:
                 tokens.append(rng.randrange(params.vocab_size))
         seqs.append(tuple(tokens))
@@ -246,12 +241,17 @@ def _rel_gap(a: float, b: float, scale: float = 0.0) -> float:
 def _term_scale(per_token_terms: Sequence[Sequence[float]], total: int) -> float:
     if not total:
         return 0.0
-    return math.fsum(abs(x) for row in per_token_terms for x in row) / total
+    return math.fsum(map(abs, chain.from_iterable(per_token_terms))) / total
 
 
 @dataclass(frozen=True)
 class VerificationEntry:
-    """Result of checking one group, named by its query id."""
+    """Result of checking one group, named by its query id.
+
+    ``check`` names the check with the largest relative gap (``equivalence``,
+    ``node-sum``, ``partition:<objective>`` or ``scaling``) under ``config``,
+    the config whose gap is reported.
+    """
 
     query_id: str
     value_a: float
@@ -259,6 +259,8 @@ class VerificationEntry:
     abs_gap: float
     rel_gap: float
     trivial: bool
+    check: str
+    config: ObjectiveConfig
 
 
 @dataclass
@@ -270,109 +272,138 @@ class VerificationReport:
     max_abs_gap: float = 0.0
     max_rel_gap: float = 0.0
     trivial_count: int = 0
-    failures: list[tuple[str, float]] = field(default_factory=list)
+    failures: list[VerificationEntry] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         check_nonnegative(self.tol, "tol")
 
     def record(self, entry: VerificationEntry) -> None:
-        """Count one group; a gap above tol is a (query_id, rel_gap) failure."""
+        """Count one group; an entry whose gap is above tol is a failure."""
         self.groups_checked += 1
         self.max_abs_gap = max(self.max_abs_gap, entry.abs_gap)
         self.max_rel_gap = max(self.max_rel_gap, entry.rel_gap)
         if entry.trivial:
             self.trivial_count += 1
         if entry.rel_gap > self.tol:
-            self.failures.append((entry.query_id, entry.rel_gap))
+            self.failures.append(entry)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-def _worst(
-    group: Group, tree: ProcessTree, gaps: Sequence[tuple[float, float, float, float]]
-) -> VerificationEntry:
-    """Entry of the config with the largest relative gap, and the largest abs gap.
+class GroupDerivation(NamedTuple):
+    """The inputs both checks share, derived once per group.
 
-    ``gaps`` holds one (value_a, value_b, abs_gap, rel_gap) row per config.
+    ``node_advantages`` (the normalized step reward) and ``node_members``
+    (the sorted member tuple) are indexed by node id; ``terms`` and ``grpo``
+    hold the token terms and the GRPO report of each config in ``configs``.
     """
-    value_a, value_b, _, rel_gap = max(gaps, key=lambda row: row[3])
-    return VerificationEntry(
-        query_id=group.query_id,
-        value_a=value_a,
-        value_b=value_b,
-        abs_gap=max(row[2] for row in gaps),
-        rel_gap=rel_gap,
-        trivial=is_trivial(tree),
-    )
+
+    group: Group
+    configs: tuple[ObjectiveConfig, ...]
+    stats: RewardStats
+    advantages: list[float]
+    tree: ProcessTree
+    node_advantages: tuple[float, ...]
+    node_members: tuple[tuple[int, ...], ...]
+    terms: tuple[TokenTerms, ...]
+    grpo: tuple[ObjectiveReport, ...]
 
 
-def _prm_value_by_nodes(
-    group: Group,
-    tree: ProcessTree,
-    rewards: Sequence[float],
-    stats: RewardStats,
-    terms: TokenTerms,
-) -> float:
-    """Step-advantage objective summed node by node over the tree.
-
-    Independent evaluation order for the equivalence check: iterates
-    process sets and their spans, never touching outcome advantages.
-    ``rewards`` are the step rewards indexed by node id, and ``terms``
-    holds the ratio and KL rows of the group.
-    """
-    p, d, beta = terms
-    values = []
-    for node in tree.nodes:
-        if node.span_len == 0:
-            continue
-        ahat = normalized_advantage(rewards[node.node_id], stats)
-        members = node.sorted_members()
-        for t in range(node.span_start, node.span_end):
-            for i in members:
-                values.append(p[i][t] * ahat - beta * d[i][t])
-    total = group.total_tokens
-    return math.fsum(values) / total if total else 0.0
-
-
-def verify_equivalence(
+def derive_group(
     group: Group,
     configs: Sequence[ObjectiveConfig],
     std_mode: str = SAMPLE,
     epsilon: float = DEFAULT_EPSILON,
-) -> VerificationEntry:
+) -> GroupDerivation:
+    """Derive the stats, tree and per-config terms the checks read."""
+    configs = tuple(configs)
+    stats = reward_stats(group, std_mode, epsilon)
+    advantages = outcome_advantages(group, stats)
+    tree = build_process_tree(group)
+    terms = tuple(token_terms(group, config) for config in configs)
+    return GroupDerivation(
+        group=group,
+        configs=configs,
+        stats=stats,
+        advantages=advantages,
+        tree=tree,
+        node_advantages=tuple(
+            normalized_advantage(r, stats) for r in step_rewards(tree, group)
+        ),
+        node_members=tuple(tuple(node.sorted_members()) for node in tree.nodes),
+        terms=terms,
+        grpo=tuple(objective_grpo(group, advantages, t) for t in terms),
+    )
+
+
+def _worst(derived: GroupDerivation, gaps: Sequence[tuple]) -> VerificationEntry:
+    """Entry of the config with the largest relative gap, and the largest abs gap.
+
+    ``gaps`` holds one (value_a, value_b, abs_gap, rel_gap, check, config)
+    row per config.
+    """
+    value_a, value_b, _, rel_gap, check, config = max(gaps, key=lambda row: row[3])
+    return VerificationEntry(
+        query_id=derived.group.query_id,
+        value_a=value_a,
+        value_b=value_b,
+        abs_gap=max(row[2] for row in gaps),
+        rel_gap=rel_gap,
+        trivial=is_trivial(derived.tree),
+        check=check,
+        config=config,
+    )
+
+
+def _prm_value_by_nodes(derived: GroupDerivation, terms: TokenTerms) -> float:
+    """Step-advantage objective summed node by node over the tree.
+
+    Independent evaluation order for the equivalence check: iterates
+    process sets and their spans, never touching outcome advantages.
+    ``terms`` holds the ratio and KL rows of the group.
+    """
+    p, d, beta = terms
+    values = []
+    for node, members, ahat in zip(
+        derived.tree.nodes, derived.node_members, derived.node_advantages
+    ):
+        values += [
+            p[i][t] * ahat - beta * d[i][t]
+            for t in range(node.span_start, node.span_end)
+            for i in members
+        ]
+    total = derived.group.total_tokens
+    return math.fsum(values) / total if total else 0.0
+
+
+def verify_equivalence(derived: GroupDerivation) -> VerificationEntry:
     """Compare the outcome-advantage and step-advantage objective values.
 
     The first path is a trajectory-major token sum; the second enumerates
     tree nodes. Equality certifies that the outcome-level objective already
     optimizes the step-level rewards induced by the prefix structure.
 
-    The group is checked under every config, sharing one tree, and the
+    The group is checked under every config of the derivation, and the
     worst entry is returned. Gaps are returned, never raised; the tolerance
     takes effect when the entry is recorded into a VerificationReport.
     """
-    stats = reward_stats(group, std_mode, epsilon)
-    adv = outcome_advantages(group, stats)
-    tree = build_process_tree(group)
-    rewards = step_rewards(tree, group)
+    total = derived.group.total_tokens
     gaps = []
-    for config in configs:
-        terms = token_terms(group, config)
-        grpo_report = objective_grpo(group, adv, terms)
+    for config, terms, grpo_report in zip(derived.configs, derived.terms, derived.grpo):
         value_grpo = grpo_report.value
-        value_prm = _prm_value_by_nodes(group, tree, rewards, stats, terms)
-        scale = _term_scale(grpo_report.per_token_terms, group.total_tokens)
+        value_prm = _prm_value_by_nodes(derived, terms)
+        scale = _term_scale(grpo_report.per_token_terms, total)
         rel_gap = _rel_gap(value_grpo, value_prm, scale)
-        gaps.append((value_grpo, value_prm, abs(value_grpo - value_prm), rel_gap))
-    return _worst(group, tree, gaps)
+        abs_gap = abs(value_grpo - value_prm)
+        gaps.append((value_grpo, value_prm, abs_gap, rel_gap, "equivalence", config))
+    return _worst(derived, gaps)
 
 
 def _partition_value(
     group: Group,
-    partitions: Sequence[Sequence[ProcessNode]],
-    rewards: Sequence[float],
-    stats: RewardStats,
+    partitions: Sequence[Sequence[tuple[tuple[int, ...], float]]],
     adv: Sequence[float],
     terms: TokenTerms,
     kind: str,
@@ -381,24 +412,30 @@ def _partition_value(
 
     ``kind`` selects the per-term form: outcome advantages, step
     advantages, or the grouped set-size-corrected form where each process
-    set contributes one term per position. ``partitions[t]`` is the span
-    partition at position t, ``rewards`` are the step rewards indexed by
-    node id, and ``terms`` holds the ratio and KL rows of the group.
+    set contributes one term per position. ``partitions[t]`` holds the
+    (sorted members, step advantage) pair of every node whose span
+    contains position t, and ``terms`` the ratio and KL rows of the group.
     """
     p, d, beta = terms
     values = []
     for t, partition in enumerate(partitions):
-        for node in partition:
-            members = node.sorted_members()
-            if kind == "grpo":
-                values.extend(p[i][t] * adv[i] - beta * d[i][t] for i in members)
-            elif kind == "prm":
-                ahat = normalized_advantage(rewards[node.node_id], stats)
-                values.extend(p[i][t] * ahat - beta * d[i][t] for i in members)
-            else:  # grouped set-size-corrected form
-                rep = members[0]
-                ahat = normalized_advantage(rewards[node.node_id], stats)
-                values.append(p[rep][t] * ahat - beta * d[rep][t])
+        if kind == "grpo":
+            values += [
+                p[i][t] * adv[i] - beta * d[i][t]
+                for members, _ in partition
+                for i in members
+            ]
+        elif kind == "prm":
+            values += [
+                p[i][t] * ahat - beta * d[i][t]
+                for members, ahat in partition
+                for i in members
+            ]
+        else:  # grouped set-size-corrected form: one term per process set
+            values += [
+                p[members[0]][t] * ahat - beta * d[members[0]][t]
+                for members, ahat in partition
+            ]
     total = group.total_tokens
     return math.fsum(values) / total if total else 0.0
 
@@ -415,80 +452,84 @@ def _span_partitions(tree: ProcessTree) -> list[list[ProcessNode]]:
     return partitions
 
 
-def verify_proof_identities(
-    group: Group,
-    configs: Sequence[ObjectiveConfig],
-    std_mode: str = SAMPLE,
-    epsilon: float = DEFAULT_EPSILON,
-) -> VerificationEntry:
+def verify_proof_identities(derived: GroupDerivation) -> VerificationEntry:
     """Check the three structural identities behind the equivalence.
 
     1. Per-node term sums: for every node and every position in its span,
        the summed step-advantage terms of its members equal
-       |members| * (P_rep * A_node - beta * D_rep).
+       |members| * (P_rep * A_node - beta * D_rep). A single-member node
+       is skipped: both sides are then the same term.
     2. Partition regrouping: position-major evaluation over the span
        partitions matches the trajectory-major token sum, for all three
        objectives.
     3. Scaling law: each token's outcome-advantage term equals its owning
        set size times its set-size-corrected term.
 
-    The group is checked under every config, sharing one tree, and the
-    entry of the config with the worst relative gap is returned.
+    The group is checked under every config of the derivation, and the
+    entry of the config with the worst relative gap is returned, naming
+    the check that gap came from.
     """
-    stats = reward_stats(group, std_mode, epsilon)
-    adv = outcome_advantages(group, stats)
-    tree = build_process_tree(group)
+    group, tree = derived.group, derived.tree
+    members_of, ahat_of = derived.node_members, derived.node_advantages
     assignment = assign_tokens(tree)
-    rewards = step_rewards(tree, group)
-    steps = step_advantages(tree, assignment, group, stats)
-    partitions = _span_partitions(tree)
+    steps = step_advantages(tree, assignment, group, derived.stats)
+    shared = [
+        (members_of[n.node_id], ahat_of[n.node_id], range(n.span_start, n.span_end))
+        for n in tree.nodes
+        if n.span_len and len(members_of[n.node_id]) > 1
+    ]
+    node_pairs = list(zip(members_of, ahat_of))
+    partitions = [
+        [node_pairs[n.node_id] for n in partition] for partition in _span_partitions(tree)
+    ]
+    # sizes from the oracle's member table, not the assignment.sizes lambda divides by
+    sizes = [len(members) for members in members_of]
+    size_rows = [[sizes[n.node_id] for n in row] for row in assignment.owners]
     total = group.total_tokens
     gaps = []
-    for config in configs:
-        terms = token_terms(group, config)
+    for config, terms, grpo_report in zip(derived.configs, derived.terms, derived.grpo):
         p, d, beta = terms
-        worst = 0.0
 
-        # 1. per-node sums
-        for node in tree.nodes:
-            if node.span_len == 0:
-                continue
-            ahat = normalized_advantage(rewards[node.node_id], stats)
-            members = node.sorted_members()
+        # 1. per-node sums; where both sides are equal the gap is 0
+        node_gap = 0.0
+        for members, ahat, span in shared:
             rep = members[0]
-            for t in range(node.span_start, node.span_end):
-                lhs = math.fsum(p[i][t] * ahat - beta * d[i][t] for i in members)
-                rhs = node.size * (p[rep][t] * ahat - beta * d[rep][t])
-                scale = math.fsum(
-                    abs(p[i][t] * ahat) + beta * d[i][t] for i in members
-                )
-                worst = max(worst, _rel_gap(lhs, rhs, scale))
+            for t in span:
+                lhs = math.fsum([p[i][t] * ahat - beta * d[i][t] for i in members])
+                rhs = len(members) * (p[rep][t] * ahat - beta * d[rep][t])
+                if lhs != rhs:
+                    scale = math.fsum(
+                        [abs(p[i][t] * ahat) + beta * d[i][t] for i in members]
+                    )
+                    node_gap = max(node_gap, _rel_gap(lhs, rhs, scale))
+        found = [("node-sum", node_gap)]
 
         # 2. partition regrouping of each objective
-        grpo_report = objective_grpo(group, adv, terms)
         prm_report = objective_prm(group, steps, terms)
-        lambda_report = objective_lambda(group, assignment, adv, terms)
-        for kind, report in (
-            ("grpo", grpo_report),
-            ("prm", prm_report),
-            ("lambda", lambda_report),
-        ):
-            position_major = _partition_value(
-                group, partitions, rewards, stats, adv, terms, kind
-            )
+        lambda_report = objective_lambda(group, assignment, derived.advantages, terms)
+        reports = (grpo_report, prm_report, lambda_report)
+        for kind, report in zip(("grpo", "prm", "lambda"), reports):
+            position_major = _partition_value(group, partitions, derived.advantages, terms, kind)
             scale = _term_scale(report.per_token_terms, total)
-            worst = max(worst, _rel_gap(report.value, position_major, scale))
+            found.append((f"partition:{kind}", _rel_gap(report.value, position_major, scale)))
 
-        # 3. per-token scaling law
-        for i in range(group.k):
-            grpo_row = grpo_report.per_token_terms[i]
-            lambda_row = lambda_report.per_token_terms[i]
-            owners = assignment.owners[i]
-            for t in range(len(grpo_row)):
-                worst = max(worst, _rel_gap(grpo_row[t], owners[t].size * lambda_row[t]))
+        # 3. per-token scaling law; a token whose sides are equal has gap 0
+        scaling_gap = 0.0
+        for grpo_row, lambda_row, size_row in zip(
+            grpo_report.per_token_terms, lambda_report.per_token_terms, size_rows
+        ):
+            scaled = tuple([size * lam for size, lam in zip(size_row, lambda_row)])
+            if scaled != grpo_row:
+                scaling_gap = max(
+                    scaling_gap,
+                    *[_rel_gap(g, b) for g, b in zip(grpo_row, scaled) if g != b],
+                )
+        found.append(("scaling", scaling_gap))
 
-        gaps.append((grpo_report.value, prm_report.value, worst, worst))
-    return _worst(group, tree, gaps)
+        # the first of the checks sharing the largest gap names it
+        check, worst = max(found, key=lambda item: item[1])
+        gaps.append((grpo_report.value, prm_report.value, worst, worst, check, config))
+    return _worst(derived, gaps)
 
 
 def verification_configs(beta: float = DEFAULT_BETA) -> list[ObjectiveConfig]:
@@ -531,9 +572,8 @@ def run_verification(
         (generate_random_group(params, index) for index in range(n_groups)),
     )
     for group in groups:
-        equivalence.record(verify_equivalence(group, configs, std_mode, epsilon))
+        derived = derive_group(group, configs, std_mode, epsilon)
+        equivalence.record(verify_equivalence(derived))
         if identities is not None:
-            identities.record(
-                verify_proof_identities(group, configs, std_mode, epsilon)
-            )
+            identities.record(verify_proof_identities(derived))
     return equivalence, identities

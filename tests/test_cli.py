@@ -3,11 +3,12 @@ import importlib
 import inspect
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from steptree import group_from_sequences
+from steptree import Group, Trajectory, group_from_sequences, verify
 from steptree.cli import main
 from steptree.io import serialize_group
 from steptree.verify import (
@@ -248,6 +249,68 @@ class TestVerify:
         assert "FAILED" in out
         assert "  failure: query_id=bad rel_gap=" in out
 
+    def failure_line(self, tmp_path, capsys, group):
+        path = tmp_path / "group.jsonl"
+        write_dump(path, [group])
+        assert main(["verify", str(path)]) == 1
+        lines = [line for line in capsys.readouterr().out.splitlines() if "failure:" in line]
+        assert len(lines) == 1
+        return lines[0]
+
+    def test_scaling_failure_is_named(self, tmp_path, capsys, monkeypatch):
+        # one singleton-owned lambda term no longer equals its GRPO term
+        original = verify.objective_lambda
+
+        def perturbed(group, assignment, advantages, terms):
+            report = original(group, assignment, advantages, terms)
+            rows = [list(row) for row in report.per_token_terms]
+            i, t = next(
+                (i, t)
+                for i, owners in enumerate(assignment.owners)
+                for t, node in enumerate(owners)
+                if node.size == 1
+            )
+            rows[i][t] += 0.5
+            return replace(report, per_token_terms=tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(verify, "objective_lambda", perturbed)
+        line = self.failure_line(tmp_path, capsys, make_overlap_group())
+        assert line.startswith("  failure: query_id=overlap rel_gap=")
+        assert line.endswith(" check=scaling config=beta=0.0,unit_ratio=1")
+
+    def test_partition_failure_is_named(self, tmp_path, capsys, monkeypatch):
+        # one step advantage of a shared span no longer matches its node
+        original = verify.step_advantages
+
+        def perturbed(tree, assignment, group, stats):
+            rows = [list(row) for row in original(tree, assignment, group, stats)]
+            i, t = next(
+                (i, t)
+                for i, owners in enumerate(assignment.owners)
+                for t, node in enumerate(owners)
+                if node.size > 1
+            )
+            rows[i][t] += 0.5
+            return tuple(map(tuple, rows))
+
+        monkeypatch.setattr(verify, "step_advantages", perturbed)
+        line = self.failure_line(tmp_path, capsys, make_overlap_group())
+        assert line.endswith(" check=partition:prm config=beta=0.0,unit_ratio=1")
+
+    def test_node_sum_failure_is_named(self, tmp_path, capsys):
+        # completions 0 and 1 share token 1 with a nonzero step advantage
+        # but disagree on its ratio, which no single policy could produce
+        group = Group(
+            query_id="bad",
+            trajectories=(
+                Trajectory((1, 2), 1.0, logp_new=(-0.5, -0.5), logp_old=(-1.5, -0.5)),
+                Trajectory((1, 3), 1.0, logp_new=(-2.5, -0.5), logp_old=(-0.2, -0.5)),
+                Trajectory((4,), 0.0, logp_new=(-0.5,), logp_old=(-0.5,)),
+            ),
+        )
+        line = self.failure_line(tmp_path, capsys, group)
+        assert line.endswith(" check=node-sum config=beta=0.0,unit_ratio=0")
+
     def test_ratio_terms_only_in_verify(self, tmp_path, capsys):
         # logp_old far from logp: ratio terms would change every objective
         with_old = [
@@ -429,6 +492,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "outside the vocabulary" in err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("temperature = nan\n", "temperature"),
+            ("temperature = inf\n", "temperature"),
+            ("learn_rate = nan\n", "learn_rate"),
+            ("terminal_token = 99\n", "terminal_token"),
+            ("reward[] = 1\n", "reward[]"),
+        ],
+    )
+    def test_unusable_value_names_its_key(self, tmp_path, capsys, text, key):
+        config = tmp_path / "sim.cfg"
+        config.write_text("steps = 2\n" + text, encoding="utf-8")
+        assert main(["simulate", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert key in captured.err
 
     def test_bad_config_key(self, tmp_path, capsys):
         config = tmp_path / "sim.cfg"
@@ -687,10 +769,10 @@ class TestWorkCounts:
         groups = equivalence.groups_checked
         assert groups == 20 + len(degenerate_groups(True))
         assert work == {
-            "build_process_tree": 2 * groups,
-            "ratio_terms": 8 * groups,
-            "kl_terms": 8 * groups,
-            "reward_stats": 2 * groups,
+            "build_process_tree": groups,
+            "ratio_terms": 4 * groups,
+            "kl_terms": 4 * groups,
+            "reward_stats": groups,
         }
 
     def test_file_commands_derive_rows_once_per_config(self, tmp_path, work, capsys):
@@ -700,7 +782,7 @@ class TestWorkCounts:
         assert main(["analyze", str(path)]) == 0
         assert work["ratio_terms"] == work["kl_terms"] == 6
         assert main(["verify", str(path)]) == 0
-        assert work["ratio_terms"] == work["kl_terms"] == 6 + 2 * 6
+        assert work["ratio_terms"] == work["kl_terms"] == 6 + 6
 
 
 def test_traced_layers_resolve(monkeypatch):

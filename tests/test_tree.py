@@ -256,7 +256,7 @@ class TestTriviality:
 class TestExport:
     def test_dot_counts(self, overlap_group):
         tree = build_process_tree(overlap_group)
-        doc = export_tree(tree, overlap_group, "dot", step_rewards(tree, overlap_group))
+        doc = "".join(export_tree(tree, overlap_group, "dot", step_rewards(tree, overlap_group)))
         nodes = [line for line in doc.splitlines() if " [label=" in line]
         edges = [line for line in doc.splitlines() if " -> " in line]
         assert len(nodes) == 10
@@ -268,7 +268,7 @@ class TestExport:
     def test_dot_trivial_counts(self):
         group = make_trivial_group(k=6)
         tree = build_process_tree(group)
-        doc = export_tree(tree, group, "dot", step_rewards(tree, group))
+        doc = "".join(export_tree(tree, group, "dot", step_rewards(tree, group)))
         nodes = [line for line in doc.splitlines() if " [label=" in line]
         edges = [line for line in doc.splitlines() if " -> " in line]
         assert len(nodes) == 7
@@ -279,13 +279,13 @@ class TestExport:
             "long", [tuple([3] * 12), tuple([3] * 11 + [4])], [1.0, 0.0]
         )
         tree = build_process_tree(group)
-        doc = export_tree(tree, group, "dot", step_rewards(tree, group))
+        doc = "".join(export_tree(tree, group, "dot", step_rewards(tree, group)))
         assert "..." in doc
 
     def test_json_round_trip(self, overlap_group):
         tree = build_process_tree(overlap_group)
         rewards = step_rewards(tree, overlap_group)
-        doc = json.loads(export_tree(tree, overlap_group, "json", rewards))
+        doc = json.loads("".join(export_tree(tree, overlap_group, "json", rewards)))
         assert doc["node_count"] == 10
 
         flat = {}
@@ -301,7 +301,7 @@ class TestExport:
     def test_json_tokens_match_spans(self, overlap_group):
         tree = build_process_tree(overlap_group)
         rewards = step_rewards(tree, overlap_group)
-        doc = json.loads(export_tree(tree, overlap_group, "json", rewards))
+        doc = json.loads("".join(export_tree(tree, overlap_group, "json", rewards)))
 
         def walk(node):
             lead = min(node["members"])

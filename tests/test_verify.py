@@ -5,6 +5,7 @@ import pytest
 from steptree import (
     ObjectiveConfig,
     build_process_tree,
+    derive_group,
     group_from_sequences,
     is_trivial,
     verify_proof_identities,
@@ -123,14 +124,14 @@ class TestGenerator:
 
 class TestEquivalence:
     def test_overlap_gap_within_tolerance(self, overlap_group):
-        entry = verify_equivalence(overlap_group, [UNIT])
+        entry = verify_equivalence(derive_group(overlap_group, [UNIT]))
         assert entry.abs_gap < 1e-12
         assert entry.rel_gap < 1e-12
         assert not entry.trivial
 
     def test_trivial_group_gap_exactly_zero(self, trivial_group):
         # identical term multisets on both paths, and fsum is exact
-        entry = verify_equivalence(trivial_group, [UNIT])
+        entry = verify_equivalence(derive_group(trivial_group, [UNIT]))
         assert entry.abs_gap == 0.0
         assert entry.trivial
 
@@ -158,8 +159,8 @@ class TestEquivalence:
         )
         group = generate_random_group(params, 0)
         assert group.total_tokens > 4096
-        assert verify_equivalence(group, [FULL]).rel_gap <= 1e-12
-        assert verify_proof_identities(group, [FULL]).rel_gap <= 1e-12
+        assert verify_equivalence(derive_group(group, [FULL])).rel_gap <= 1e-12
+        assert verify_proof_identities(derive_group(group, [FULL])).rel_gap <= 1e-12
 
     def test_inconsistent_logps_break_equivalence(self):
         # two completions share their first token but disagree on its
@@ -174,7 +175,8 @@ class TestEquivalence:
                 Trajectory(tokens=(1, 3), reward=0.0, logp_new=(-2.5, -0.5), logp_old=(-0.2, -0.5)),
             ),
         )
-        entry = verify_equivalence(group, [ObjectiveConfig(beta=0.0, assume_unit_ratio=False)])
+        config = ObjectiveConfig(beta=0.0, assume_unit_ratio=False)
+        entry = verify_equivalence(derive_group(group, [config]))
         assert entry.rel_gap > 1e-6
 
 
@@ -185,8 +187,8 @@ class TestConfigSweep:
         params = GenParams(seed=20, fork_bias=0.8, logp_mode=LOGP_RANDOM_CONSISTENT)
         for index in range(10):
             group = generate_random_group(params, index)
-            singles = [check(group, [config]) for config in configs]
-            swept = check(group, configs)
+            singles = [check(derive_group(group, [config])) for config in configs]
+            swept = check(derive_group(group, configs))
             assert swept.query_id == group.query_id
             assert swept.rel_gap == max(e.rel_gap for e in singles)
             assert swept.abs_gap == max(e.abs_gap for e in singles)
@@ -197,22 +199,22 @@ class TestConfigSweep:
 
 class TestIdentities:
     def test_overlap(self, overlap_group):
-        entry = verify_proof_identities(overlap_group, [UNIT])
+        entry = verify_proof_identities(derive_group(overlap_group, [UNIT]))
         assert entry.rel_gap < 1e-12
 
     def test_overlap_with_ratio_and_kl(self, overlap_group_logps):
-        entry = verify_proof_identities(overlap_group_logps, [FULL])
+        entry = verify_proof_identities(derive_group(overlap_group_logps, [FULL]))
         assert entry.rel_gap < 1e-12
 
     def test_degenerate_cases(self):
         for group in degenerate_groups(with_logps=True):
             for config in (UNIT, FULL):
-                entry = verify_proof_identities(group, [config])
+                entry = verify_proof_identities(derive_group(group, [config]))
                 assert entry.rel_gap < 1e-12, group.query_id
 
     def test_constant_rewards_kl_side_still_checked(self):
         group = [g for g in degenerate_groups(True) if "constant" in g.query_id][0]
-        entry = verify_proof_identities(group, [FULL])
+        entry = verify_proof_identities(derive_group(group, [FULL]))
         assert entry.rel_gap < 1e-12
         # advantage side is all zero; the value reduces to the KL part
         assert entry.value_a < 0.0
@@ -238,9 +240,10 @@ class TestReport:
         report = VerificationReport(tol=1e-30)
         params = GenParams(seed=18, fork_bias=0.9, logp_mode=LOGP_RANDOM_CONSISTENT)
         for index in range(5):
-            entry = verify_equivalence(generate_random_group(params, index), [FULL])
+            group = generate_random_group(params, index)
+            entry = verify_equivalence(derive_group(group, [FULL]))
             report.record(entry)
         assert not report.passed
-        assert all(gap > 1e-30 for _, gap in report.failures)
+        assert all(entry.rel_gap > 1e-30 for entry in report.failures)
         checked = {f"rand-18-{index}" for index in range(5)}
-        assert {query_id for query_id, _ in report.failures} <= checked
+        assert {entry.query_id for entry in report.failures} <= checked

@@ -28,7 +28,7 @@ from .io import (
     RecordError,
     effective_config,
     iter_groups,
-    weight_record,
+    weight_line,
     write_jsonl,
 )
 from .metrics import MetricsSummary, group_metrics
@@ -293,20 +293,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
+    settings = (args.objective, args.beta, args.std, args.eps)
+    lines = (weight_line(g, *settings) for g in _read_groups(args.input, args.strict))
     with _open_out(args.output) as out:
-        write_jsonl(
-            (
-                weight_record(
-                    group,
-                    args.objective,
-                    beta=args.beta,
-                    std_mode=args.std,
-                    epsilon=args.eps,
-                )
-                for group in _read_groups(args.input, args.strict)
-            ),
-            out,
-        )
+        write_jsonl(lines, out)
     return 0
 
 

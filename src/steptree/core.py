@@ -170,9 +170,12 @@ def reward_stats(
     check_nonnegative(epsilon, "epsilon")
     rewards = group.rewards
     k = len(rewards)
-    mean = math.fsum(rewards) / k
     divisor = k - 1 if std_mode == SAMPLE else k
-    variance = math.fsum((r - mean) ** 2 for r in rewards) / divisor
+    try:
+        mean = math.fsum(rewards) / k
+        variance = math.fsum((r - mean) ** 2 for r in rewards) / divisor
+    except OverflowError:
+        raise ValueError(f"group {group.query_id!r}: reward variance overflows") from None
     return RewardStats(
         mean=mean, std=math.sqrt(variance), std_mode=std_mode, epsilon=float(epsilon)
     )

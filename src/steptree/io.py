@@ -16,12 +16,11 @@ from .objectives import (
     GRPO,
     LAMBDA,
     ObjectiveConfig,
-    lambda_weights,
     objective_grpo,
     objective_lambda,
     token_terms,
 )
-from .rewards import step_advantages
+from .rewards import node_advantages
 from .tree import assign_tokens, build_process_tree
 
 CSV_COLUMNS = (
@@ -159,6 +158,32 @@ def effective_config(group: Group, beta: float, assume_unit_ratio: bool = True) 
     return config if have_ref else replace(config, beta=0.0)
 
 
+def _weight_parts(
+    group: Group, objective: str, beta: float, std_mode: str, epsilon: float
+) -> tuple:
+    """A weight record's head fields, outcome advantages, per-node step
+    advantages and 1/size weights, and owner id rows; both formats read it."""
+    if objective not in (GRPO, LAMBDA):
+        raise ValueError(f"objective must be '{GRPO}' or '{LAMBDA}'")
+    stats = reward_stats(group, std_mode, epsilon)
+    advantages = outcome_advantages(group, stats)
+    tree = build_process_tree(group)
+    assignment = assign_tokens(tree)
+    terms = token_terms(group, effective_config(group, beta))
+    if objective == GRPO:
+        report = objective_grpo(group, advantages, terms)
+    else:
+        report = objective_lambda(group, assignment, advantages, terms)
+    head: dict = {"query_id": group.query_id, "objective": objective}
+    if group.step is not None:
+        head["step"] = group.step
+    head["objective_value"] = report.value
+    head["loss"] = report.loss
+    node_weights = [1.0 / node.size for node in tree.nodes]
+    node_adv = node_advantages(tree, group, stats)
+    return head, advantages, node_adv, node_weights, assignment.owner_ids
+
+
 def weight_record(
     group: Group,
     objective: str,
@@ -172,39 +197,54 @@ def weight_record(
     advantages, the 1/|owning set| weights, and both the objective value
     and its negated loss under the requested objective tag.
     """
-    if objective not in (GRPO, LAMBDA):
-        raise ValueError(f"objective must be '{GRPO}' or '{LAMBDA}'")
-    stats = reward_stats(group, std_mode, epsilon)
-    advantages = outcome_advantages(group, stats)
-    tree = build_process_tree(group)
-    assignment = assign_tokens(tree)
-    steps = step_advantages(tree, assignment, group, stats)
-    weights = lambda_weights(assignment)
-    terms = token_terms(group, effective_config(group, beta))
-    if objective == GRPO:
-        report = objective_grpo(group, advantages, terms)
-    else:
-        report = objective_lambda(group, assignment, advantages, terms)
-    record: dict = {"query_id": group.query_id, "objective": objective}
-    if group.step is not None:
-        record["step"] = group.step
-    record["objective_value"] = report.value
-    record["loss"] = report.loss
+    record, advantages, node_adv, node_weights, owner_ids = _weight_parts(
+        group, objective, beta, std_mode, epsilon
+    )
     record["completions"] = [
         {
-            "advantage": advantages[i],
-            "token_advantage": list(steps[i]),
-            "lambda_weight": list(weights[i]),
+            "advantage": a,
+            "token_advantage": [node_adv[n] for n in ids],
+            "lambda_weight": [node_weights[n] for n in ids],
         }
-        for i in range(group.k)
+        for a, ids in zip(advantages, owner_ids)
     ]
     return record
 
 
-def write_jsonl(records: Iterable[dict], stream: TextIO) -> int:
-    """Write records one per line; returns the number written."""
+def weight_line(
+    group: Group,
+    objective: str,
+    beta: float = 0.0,
+    std_mode: str = SAMPLE,
+    epsilon: float = DEFAULT_EPSILON,
+) -> str:
+    """``json.dumps(weight_record(...), separators=(",", ":"))``, built per node.
+
+    Each node's step advantage and weight is rendered once, and every token
+    row is joined from those texts by owner id.
+    """
+    head, advantages, node_adv, node_weights, owner_ids = _weight_parts(
+        group, objective, beta, std_mode, epsilon
+    )
+    dumps = json.dumps
+    adv_text = [dumps(a) for a in node_adv]
+    weight_text = [dumps(w) for w in node_weights]
+    completions = ",".join(
+        [
+            f'{{"advantage":{dumps(a)},'
+            f'"token_advantage":[{",".join([adv_text[n] for n in ids])}],'
+            f'"lambda_weight":[{",".join([weight_text[n] for n in ids])}]}}'
+            for a, ids in zip(advantages, owner_ids)
+        ]
+    )
+    # the head's closing brace gives way to the completions
+    return dumps(head, separators=(",", ":"))[:-1] + f',"completions":[{completions}]}}'
+
+
+def write_jsonl(lines: Iterable[str], stream: TextIO) -> int:
+    """Write rendered lines one per line; returns the number written."""
     count = 0
-    for record in records:
-        stream.write(json.dumps(record, separators=(",", ":")) + "\n")
+    for line in lines:
+        stream.write(line + "\n")
         count += 1
     return count

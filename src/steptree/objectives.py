@@ -80,9 +80,11 @@ def ratio_terms(group: Group, config: ObjectiveConfig) -> list[list[float]]:
                 f"trajectory {i}: ratio terms need logp_new and logp_old "
                 "(or assume_unit_ratio=True)"
             )
-        rows.append(
-            [math.exp(n - o) for n, o in zip(traj.logp_new, traj.logp_old)]
-        )
+        try:
+            rows.append([math.exp(n - o) for n, o in zip(traj.logp_new, traj.logp_old)])
+        except OverflowError:
+            where = f"group {group.query_id!r}, trajectory {i}"
+            raise ValueError(f"{where}: importance ratio overflows") from None
     return rows
 
 
@@ -102,9 +104,13 @@ def kl_terms(group: Group, config: ObjectiveConfig) -> list[list[float]]:
                 f"trajectory {i}: KL terms with beta > 0 need logp_new and logp_ref"
             )
         row = []
-        for new, ref in zip(traj.logp_new, traj.logp_ref):
-            delta = ref - new
-            row.append(math.exp(delta) - delta - 1.0)
+        try:
+            for new, ref in zip(traj.logp_new, traj.logp_ref):
+                delta = ref - new
+                row.append(math.exp(delta) - delta - 1.0)
+        except OverflowError:
+            where = f"group {group.query_id!r}, trajectory {i}"
+            raise ValueError(f"{where}: KL term overflows") from None
         rows.append(row)
     return rows
 

@@ -26,6 +26,13 @@ def step_rewards(tree: ProcessTree, group: Group) -> tuple[float, ...]:
     )
 
 
+def node_advantages(
+    tree: ProcessTree, group: Group, stats: RewardStats
+) -> tuple[float, ...]:
+    """Step advantage of every node, indexed by ``node_id``."""
+    return tuple([normalized_advantage(r, stats) for r in step_rewards(tree, group)])
+
+
 def step_advantages(
     tree: ProcessTree,
     assignment: TokenAssignment,
@@ -38,7 +45,5 @@ def step_advantages(
     shared spans receive the normalized Monte-Carlo mean reward of their
     owning set instead.
     """
-    node_adv = [normalized_advantage(r, stats) for r in step_rewards(tree, group)]
-    return tuple(
-        [tuple([node_adv[n.node_id] for n in row]) for row in assignment.owners]
-    )
+    node_adv = node_advantages(tree, group, stats)
+    return tuple([tuple([node_adv[n] for n in row]) for row in assignment.owner_ids])

@@ -176,6 +176,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_nonnegative(self.learn_rate, "learn_rate")
+        check_nonnegative(self.epsilon, "epsilon")
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.steps < 0:
@@ -215,13 +216,7 @@ def rollout_group(
             tokens.append(token)
             if env.terminal_token is not None and token == env.terminal_token:
                 break
-        trajectories.append(
-            Trajectory(
-                tokens=tuple(tokens),
-                reward=env.reward(tokens),
-                logp_new=tuple(logps),
-            )
-        )
+        trajectories.append(Trajectory(tuple(tokens), env.reward(tokens), tuple(logps)))
     return Group(query_id=query_id, trajectories=tuple(trajectories))
 
 
@@ -295,7 +290,7 @@ def node_gradient(
     therefore differ by exactly that factor, coordinate by coordinate.
     """
     stats = reward_stats(group, config.std_mode, config.epsilon)
-    spans = ((i, node.span_start, node.span_end) for i in node.sorted_members())
+    spans = ((i, node.span_start, node.span_end) for i in sorted(node.members))
     advantages = outcome_advantages(group, stats)
     units = _token_weights(group, GRPO)
     gradient = _score_sum(policy, group, spans, advantages, units)
@@ -365,16 +360,8 @@ def finite_diff_check(
     weights = _token_weights(group, objective)
     analytic = analytic_gradient(policy, group, advantages, weights)
     total = group.total_tokens
-    mass = (
-        math.fsum(
-            abs(weights[i][t] * advantages[i])
-            for i in range(group.k)
-            for t in range(len(group.trajectories[i]))
-        )
-        / total
-        if total
-        else 0.0
-    )
+    magnitudes = [abs(w * a) for a, row in zip(advantages, weights) for w in row]
+    mass = math.fsum(magnitudes) / total if total else 0.0
     noise_floor = 128.0 * 2.220446049250313e-16 * max(mass, 1.0) / (2.0 * h)
     probe = policy.copy()
     worst = 0.0
@@ -472,16 +459,8 @@ def run_experiment(
             assignment = assign_tokens(build_process_tree(group))
             weights = lambda_weights(assignment)
             value = objective_lambda(group, assignment, advantages, terms).value
-        records.append(
-            SimStepRecord(
-                step=step,
-                expected_reward=expected_reward(policy, env),
-                best_sequence_prob=sequence_probability(policy, best)
-                if best is not None
-                else 0.0,
-                objective_value=value,
-            )
-        )
+        best_prob = sequence_probability(policy, best) if best is not None else 0.0
+        records.append(SimStepRecord(step, expected_reward(policy, env), best_prob, value))
         gradient = analytic_gradient(policy, group, advantages, weights)
         policy.apply_gradient(gradient, config.learn_rate)
     return records
@@ -523,6 +502,8 @@ def exploitation_scenario(
     best completion. The policy boosts every observed continuation by
     ``concentration`` so sampling concentrates on exactly this structure.
     """
+    if not math.isfinite(concentration):
+        raise ValueError("concentration must be finite")
     sequences = [
         (5, 5, 5, 1, 1, 1),
         (5, 5, 5, 2, 2),
@@ -596,7 +577,7 @@ def one_step_comparison(
         )
     return OneStepComparison(
         shared_prefix=tuple(prefix),
-        shared_members=tuple(node.sorted_members()),
+        shared_members=tuple(sorted(node.members)),
         shared_size=node.size,
         grpo=shifts[GRPO],
         lam=shifts[LAMBDA],

@@ -45,9 +45,6 @@ class ProcessNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
 
 @dataclass(frozen=True, eq=False)
 class ProcessTree:
@@ -66,13 +63,17 @@ class ProcessTree:
 
 @dataclass(eq=False)
 class TokenAssignment:
-    """The owning node of every token of every trajectory, and that node's size."""
+    """The owning node id of every token of every trajectory, and that node's size.
 
-    owners: tuple[tuple[ProcessNode, ...], ...]
+    ``owner_ids[i][t]`` indexes ``nodes``, the tree's nodes in id order.
+    """
+
+    nodes: tuple[ProcessNode, ...]
+    owner_ids: tuple[tuple[int, ...], ...]
     sizes: tuple[tuple[int, ...], ...]
 
     def owner(self, i: int, t: int) -> ProcessNode:
-        return self.owners[i][t]
+        return self.nodes[self.owner_ids[i][t]]
 
 
 def build_process_tree(group: Group) -> ProcessTree:
@@ -147,27 +148,28 @@ def build_process_tree(group: Group) -> ProcessTree:
 
 
 def assign_tokens(tree: ProcessTree) -> TokenAssignment:
-    """Map every (trajectory, position) to its unique owning node and its size.
+    """Map every (trajectory, position) to its unique owning node id and its size.
 
     The spans along each root-to-leaf path are contiguous and disjoint, so
     filling each node's span slice, node by node, yields a total assignment.
     """
     # leaf.span_end equals the trajectory length, so each row is sized to
     # its trajectory
-    rows = {i: [None] * leaf.span_end for i, leaf in tree.leaves.items()}
+    rows = {i: [-1] * leaf.span_end for i, leaf in tree.leaves.items()}
     sizes = {i: [0] * leaf.span_end for i, leaf in tree.leaves.items()}
     for node in tree.nodes:
         span = slice(node.span_start, node.span_end)
-        owned, size = [node] * node.span_len, [node.size] * node.span_len
+        owned, size = [node.node_id] * node.span_len, [node.size] * node.span_len
         for i in node.members:
             rows[i][span] = owned
             sizes[i][span] = size
     for i, row in rows.items():
-        if None in row:
+        if -1 in row:
             raise RuntimeError(f"trajectory {i} has tokens outside every span")
     order = sorted(rows)
     return TokenAssignment(
-        owners=tuple(tuple(rows[i]) for i in order),
+        nodes=tree.nodes,
+        owner_ids=tuple(tuple(rows[i]) for i in order),
         sizes=tuple(tuple(sizes[i]) for i in order),
     )
 
@@ -215,7 +217,7 @@ def _export_dot(
     yield "digraph process_tree {\n"
     yield '  node [shape=box, style=filled, fillcolor="#ffffff"];\n'
     for node in tree.nodes:
-        members = ",".join(f"g{i}" for i in node.sorted_members())
+        members = ",".join(f"g{i}" for i in sorted(node.members))
         label = f"{{{members}}}\\n[{node.span_start},{node.span_end})"
         token_text = _token_label(_span_tokens(node, group))
         if token_text:
@@ -256,7 +258,7 @@ def _export_json(
         node, pad = item
         fields = {
             "id": node.node_id,
-            "members": node.sorted_members(),
+            "members": sorted(node.members),
             "span_start": node.span_start,
             "span_end": node.span_end,
             "tokens": _span_tokens(node, group),

@@ -28,7 +28,6 @@ from .core import (
     Trajectory,
     check_nonnegative,
     group_from_sequences,
-    normalized_advantage,
     outcome_advantages,
     reward_stats,
 )
@@ -42,7 +41,7 @@ from .objectives import (
     objective_prm,
     token_terms,
 )
-from .rewards import step_advantages, step_rewards
+from .rewards import node_advantages, step_advantages
 from .tree import (
     ProcessNode,
     ProcessTree,
@@ -169,15 +168,8 @@ def generate_random_group(params: GenParams, index: int) -> Group:
         for tok in seq:
             entry = level.get(tok)
             if entry is None:
-                entry = (
-                    (
-                        rng.uniform(-4.0, -1e-3),
-                        rng.uniform(-4.0, -1e-3),
-                        rng.uniform(-4.0, -1e-3),
-                    ),
-                    {},
-                )
-                level[tok] = entry
+                lp = (rng.uniform(-4.0, -1e-3), rng.uniform(-4.0, -1e-3), rng.uniform(-4.0, -1e-3))
+                entry = level[tok] = (lp, {})
             (lp_new, lp_old, lp_ref), level = entry
             new.append(lp_new)
             old.append(lp_old)
@@ -329,10 +321,8 @@ def derive_group(
         stats=stats,
         advantages=advantages,
         tree=tree,
-        node_advantages=tuple(
-            normalized_advantage(r, stats) for r in step_rewards(tree, group)
-        ),
-        node_members=tuple(tuple(node.sorted_members()) for node in tree.nodes),
+        node_advantages=node_advantages(tree, group, stats),
+        node_members=tuple(tuple(sorted(node.members)) for node in tree.nodes),
         terms=terms,
         grpo=tuple(objective_grpo(group, advantages, t) for t in terms),
     )
@@ -484,7 +474,7 @@ def verify_proof_identities(derived: GroupDerivation) -> VerificationEntry:
     ]
     # sizes from the oracle's member table, not the assignment.sizes lambda divides by
     sizes = [len(members) for members in members_of]
-    size_rows = [[sizes[n.node_id] for n in row] for row in assignment.owners]
+    size_rows = [[sizes[n] for n in row] for row in assignment.owner_ids]
     total = group.total_tokens
     gaps = []
     for config, terms, grpo_report in zip(derived.configs, derived.terms, derived.grpo):

@@ -266,9 +266,9 @@ class TestVerify:
             rows = [list(row) for row in report.per_token_terms]
             i, t = next(
                 (i, t)
-                for i, owners in enumerate(assignment.owners)
-                for t, node in enumerate(owners)
-                if node.size == 1
+                for i, row in enumerate(assignment.owner_ids)
+                for t in range(len(row))
+                if assignment.owner(i, t).size == 1
             )
             rows[i][t] += 0.5
             return replace(report, per_token_terms=tuple(map(tuple, rows)))
@@ -286,9 +286,9 @@ class TestVerify:
             rows = [list(row) for row in original(tree, assignment, group, stats)]
             i, t = next(
                 (i, t)
-                for i, owners in enumerate(assignment.owners)
-                for t, node in enumerate(owners)
-                if node.size > 1
+                for i, row in enumerate(assignment.owner_ids)
+                for t in range(len(row))
+                if assignment.owner(i, t).size > 1
             )
             rows[i][t] += 0.5
             return tuple(map(tuple, rows))
@@ -421,6 +421,57 @@ class TestWeights:
         assert main(["weights", str(dump), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("objective", ["lambda", "grpo"])
+    def test_golden_bytes(self, tmp_path, objective):
+        out = tmp_path / "weights.jsonl"
+        dump = GOLDEN / "summary_dump.jsonl"
+        assert main(["weights", str(dump), "--objective", objective, "-o", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"weights_{objective}.jsonl").read_bytes()
+
+
+# rewards, the logps of completion 0 (the others carry zeros) and the message part
+OVERFLOWS = {
+    "variance": ([1e200, -1e200], {}, "group 'wide': reward variance"),
+    "variance-3": ([1.7e308, -1.7e308, -1.7e308], {}, "group 'wide': reward variance"),
+    "ratio": (
+        [1.0, 0.0],
+        {"logp_new": (0.0,), "logp_old": (-800.0,)},
+        "group 'wide', trajectory 0: importance ratio",
+    ),
+    "kl": (
+        [1.0, 0.0],
+        {"logp_new": (-800.0,), "logp_ref": (0.0,)},
+        "group 'wide', trajectory 0: KL term",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        *(
+            (command, case)
+            for case in ("variance", "variance-3")
+            for command in ("analyze", "weights", "verify")
+        ),
+        ("verify", "ratio"),
+        ("analyze", "kl"),
+        ("weights", "kl"),
+    ],
+)
+def test_overflow_is_an_error(tmp_path, capsys, command, case):
+    rewards, logps, named = OVERFLOWS[case]
+    zeros = {key: (0.0,) for key in logps}
+    trajectories = [Trajectory((0,), rewards[0], **logps)]
+    trajectories += [Trajectory((i,), r, **zeros) for i, r in enumerate(rewards) if i]
+    path = tmp_path / "wide.jsonl"
+    write_dump(path, [Group("wide", trajectories)])
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err
+    assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_exploitation_one_step(self, tmp_path, capsys):
@@ -511,6 +562,22 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert key in captured.err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("scenario = exploitation\nconcentration = nan\n", "concentration"),
+            ("scenario = exploitation\nconcentration = inf\n", "concentration"),
+            ("steps = 0\nepsilon = nan\n", "epsilon"),
+        ],
+    )
+    def test_non_finite_value_names_its_key(self, tmp_path, capsys, text, key):
+        config = tmp_path / "sim.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert main(["simulate", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} must be finite")
 
     def test_bad_config_key(self, tmp_path, capsys):
         config = tmp_path / "sim.cfg"

@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from steptree import GRPO, LAMBDA
+from steptree import DEFAULT_BETA, GRPO, LAMBDA, group_from_sequences
 from steptree.io import (
     RecordError,
     effective_config,
@@ -10,9 +11,16 @@ from steptree.io import (
     iter_groups,
     parse_group_record,
     serialize_group,
+    weight_line,
     weight_record,
 )
-from steptree.verify import GenParams, LOGP_RANDOM_CONSISTENT, generate_random_group
+from steptree.verify import (
+    GenParams,
+    LOGP_ABSENT,
+    LOGP_RANDOM_CONSISTENT,
+    degenerate_groups,
+    generate_random_group,
+)
 
 from conftest import make_overlap_group
 
@@ -164,6 +172,49 @@ class TestWeightRecords:
     def test_rejects_unknown_objective(self):
         with pytest.raises(ValueError):
             weight_record(make_overlap_group(), "prm")
+        with pytest.raises(ValueError):
+            weight_line(make_overlap_group(), "prm")
+
+
+def _weight_line_groups() -> list:
+    groups = []
+    for seed, bias in enumerate((0.0, 0.5, 1.0)):
+        for logp_mode, dist in ((LOGP_ABSENT, "bernoulli"), (LOGP_RANDOM_CONSISTENT, "uniform")):
+            params = GenParams(
+                seed=70 + seed,
+                k_range=(2, 12),
+                length_range=(0, 24),
+                fork_bias=bias,
+                reward_dist=dist,
+                logp_mode=logp_mode,
+            )
+            for index in range(35):
+                group = generate_random_group(params, index)
+                groups.append(replace(group, step=index) if index % 2 else group)
+    groups += degenerate_groups(True) + degenerate_groups(False)
+    # -0.0 outcome advantages next to 0.0 step advantages in one record
+    sequences = [(1, 1), (1, 1), (2,), (3,)]
+    groups.append(group_from_sequences("zero", sequences, [-0.0, -0.0, 1.0, -1.0]))
+    groups.append(group_from_sequences('q"\\\u00e9\u4e2d', sequences, [0.25, 0.0, 1.0, 0.5], step=-7))
+    return groups
+
+
+class TestWeightLine:
+    @pytest.mark.parametrize("objective", [GRPO, LAMBDA])
+    def test_equals_the_dumped_record(self, objective):
+        groups = _weight_line_groups()
+        assert len(groups) >= 200
+        for group in groups:
+            for beta in (0.0, DEFAULT_BETA):
+                record = weight_record(group, objective, beta=beta)
+                line = weight_line(group, objective, beta=beta)
+                assert line == json.dumps(record, separators=(",", ":")), group.query_id
+
+    def test_signed_zeros_stay_apart(self):
+        sequences = [(1, 1), (1, 1), (2,), (3,)]
+        group = group_from_sequences("zero", sequences, [-0.0, -0.0, 1.0, -1.0])
+        line = weight_line(group, LAMBDA)
+        assert '{"advantage":-0.0,"token_advantage":[0.0,0.0],' in line
 
 
 class TestEffectiveConfig:

@@ -218,9 +218,10 @@ class TestObjectiveLambda:
 
     def test_duplicate_pair_down_weighted(self, duplicate_group):
         grpo, _, lam, assignment = full_eval(duplicate_group)
-        for i, row in enumerate(assignment.owners):
-            for t, node in enumerate(row):
-                assert lam.per_token_terms[i][t] == grpo.per_token_terms[i][t] / node.size
+        for i, row in enumerate(assignment.owner_ids):
+            for t in range(len(row)):
+                size = assignment.owner(i, t).size
+                assert lam.per_token_terms[i][t] == grpo.per_token_terms[i][t] / size
         # the duplicated span really is halved
         assert assignment.owner(0, 1).size == 2
         assert lam.per_token_terms[0][1] == grpo.per_token_terms[0][1] / 2.0
@@ -228,12 +229,13 @@ class TestObjectiveLambda:
     def test_scaling_law_per_token(self, overlap_group_logps):
         config = ObjectiveConfig(beta=0.04, assume_unit_ratio=False)
         grpo, _, lam, assignment = full_eval(overlap_group_logps, config)
-        for i, row in enumerate(assignment.owners):
-            for t, node in enumerate(row):
+        for i, row in enumerate(assignment.owner_ids):
+            for t in range(len(row)):
+                size = assignment.owner(i, t).size
                 # division identity holds bitwise by construction
-                assert lam.per_token_terms[i][t] == grpo.per_token_terms[i][t] / node.size
+                assert lam.per_token_terms[i][t] == grpo.per_token_terms[i][t] / size
                 # multiplicative form within a rounding
-                assert node.size * lam.per_token_terms[i][t] == pytest.approx(
+                assert size * lam.per_token_terms[i][t] == pytest.approx(
                     grpo.per_token_terms[i][t], rel=1e-12, abs=1e-300
                 )
 

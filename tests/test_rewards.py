@@ -97,9 +97,9 @@ class TestStepAdvantages:
         stats = reward_stats(overlap_group)
         steps = step_advantages(tree, assignment, overlap_group, stats)
         adv = outcome_advantages(overlap_group, stats)
-        for i, row in enumerate(assignment.owners):
-            for t, node in enumerate(row):
-                if node.size == 1:
+        for i, row in enumerate(assignment.owner_ids):
+            for t in range(len(row)):
+                if assignment.owner(i, t).size == 1:
                     assert steps[i][t] == adv[i]
 
     def test_full_domain(self, overlap_group):

@@ -146,7 +146,7 @@ class TestRollout:
         tree = build_process_tree(group)
         assert tree.root.span_end == 4
         assignment = assign_tokens(tree)
-        assert all(node.size == 5 for row in assignment.owners for node in row)
+        assert all(tree.nodes[n].size == 5 for row in assignment.owner_ids for n in row)
 
 
 class TestGradients:

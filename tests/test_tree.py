@@ -181,7 +181,7 @@ class TestAssignment:
         seqs = [t.tokens for t in overlap_group.trajectories]
         spans = enumerate_process_sets(seqs)
         for i, seq in enumerate(seqs):
-            assert len(assignment.owners[i]) == len(seq)
+            assert len(assignment.owner_ids[i]) == len(seq)
             for t in range(len(seq)):
                 node = assignment.owner(i, t)
                 assert i in node.members
@@ -190,8 +190,9 @@ class TestAssignment:
 
     def test_trivial_tree_owners_are_singletons(self, trivial_group):
         assignment = assign_tokens(build_process_tree(trivial_group))
-        for i, row in enumerate(assignment.owners):
-            assert all(node.members == frozenset({i}) for node in row)
+        for i, row in enumerate(assignment.owner_ids):
+            for t in range(len(row)):
+                assert assignment.owner(i, t).members == frozenset({i})
 
 
 class TestPartition:

@@ -2,7 +2,8 @@
 
 Exit status: 0 on success, 1 on verification failure or an input, option
 or config error (an ``error:`` line), 2 on usage errors (argparse's
-convention).
+convention). Each command imports the modules it runs when it is called,
+so no command loads another's.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, Iterator, Optional, TextIO
 
 from .core import (
     DEFAULT_EPSILON,
+    DEFAULT_TOL,
     Group,
     POPULATION,
     SAMPLE,
@@ -23,15 +25,6 @@ from .core import (
     outcome_advantages,
     reward_stats,
 )
-from .io import (
-    CSV_COLUMNS,
-    RecordError,
-    effective_config,
-    iter_groups,
-    weight_line,
-    write_jsonl,
-)
-from .metrics import MetricsSummary, group_metrics
 from .objectives import (
     DEFAULT_BETA,
     GRPO,
@@ -40,27 +33,11 @@ from .objectives import (
     objective_lambda,
     token_terms,
 )
-from .rewards import step_rewards
-from .sim import (
-    SimConfig,
-    ToyEnv,
-    ToyPolicy,
-    exploitation_scenario,
-    one_step_comparison,
-    run_experiment,
-)
 from .tree import DOT, EXPORT_FORMATS, assign_tokens, build_process_tree, export_tree
-from .verify import (
-    DEFAULT_TOL,
-    GenParams,
-    IDENTITY_TOL,
-    VerificationReport,
-    derive_group,
-    run_verification,
-    verification_configs,
-    verify_proof_identities,
-    verify_equivalence,
-)
+
+if TYPE_CHECKING:
+    from .sim import SimConfig, ToyEnv, ToyPolicy
+    from .verify import VerificationReport
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,6 +144,8 @@ def _open_out(path: str) -> Iterator[TextIO]:
 
 
 def _read_groups(path: str, strict: bool) -> Iterator[Group]:
+    from .io import RecordError, iter_groups
+
     errors: list[RecordError] = []
     # the notice also covers lines skipped before a caller stops reading early
     try:
@@ -190,6 +169,9 @@ def _csv_cell(value) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .io import CSV_COLUMNS, effective_config
+    from .metrics import MetricsSummary, group_metrics
+
     summary = MetricsSummary()
     with _open_out(args.csv) as out:
         writer = csv.writer(out, lineterminator="\n")
@@ -226,6 +208,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
+    from .rewards import step_rewards
+
     for group in _read_groups(args.input, args.strict):
         if group.query_id == args.group_id:
             tree = build_process_tree(group)
@@ -258,6 +242,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.random is None and args.input is None:
         print("verify needs an input file or --random N", file=sys.stderr)
         return 2
+    from .io import effective_config
+    from .verify import (
+        GenParams,
+        IDENTITY_TOL,
+        VerificationReport,
+        derive_group,
+        run_verification,
+        verification_configs,
+        verify_equivalence,
+        verify_proof_identities,
+    )
+
     if args.random is not None:
         params = GenParams(
             seed=args.seed,
@@ -293,6 +289,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
+    from .io import weight_line, write_jsonl
+
     settings = (args.objective, args.beta, args.std, args.eps)
     lines = (weight_line(g, *settings) for g in _read_groups(args.input, args.strict))
     with _open_out(args.output) as out:
@@ -337,6 +335,8 @@ def _sim_from_config(
     Every key must be read by the chosen scenario and mode; any other key
     is an error naming it.
     """
+    from .sim import SimConfig, ToyEnv, ToyPolicy, exploitation_scenario
+
     unread = dict(raw)
 
     def get(key: str, default, cast=str):
@@ -398,6 +398,8 @@ def _sim_from_config(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim import one_step_comparison, run_experiment
+
     policy, env, group, config, mode = _sim_from_config(_parse_sim_config(args.config))
     if mode == "series":
         header = ("step", "expected_reward", "best_sequence_prob", "objective_value")
@@ -432,6 +434,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .metrics import MetricsSummary
+
     merged = MetricsSummary()
     for path in args.summaries:
         with open(path, "r", encoding="utf-8") as handle:

@@ -18,6 +18,8 @@ POPULATION = "population"
 STD_MODES = (SAMPLE, POPULATION)
 
 DEFAULT_EPSILON = 1e-8
+# relative tolerance of the objective equivalence check
+DEFAULT_TOL = 1e-9
 
 _LOGP_FIELDS = ("logp_new", "logp_old", "logp_ref")
 _NEG_INF = -math.inf

@@ -144,6 +144,7 @@ def _token_sum(
 
     Rows are per completion; advantage and divisor rows may be endless
     (``itertools.repeat``), since each is cut to its completion's length.
+    A term sum beyond the float range is an error naming the group.
     """
     p, d, beta = terms
     term_rows = tuple(
@@ -153,12 +154,15 @@ def _token_sum(
         ]
     )
     total_tokens = group.total_tokens
-    value = (
-        math.fsum(chain.from_iterable(term_rows)) / total_tokens if total_tokens else 0.0
-    )
+    try:
+        total = math.fsum(chain.from_iterable(term_rows))
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"group {group.query_id!r}: objective term overflows")
     return ObjectiveReport(
         objective=objective,
-        value=value,
+        value=total / total_tokens if total_tokens else 0.0,
         per_token_terms=term_rows,
         total_tokens=total_tokens,
     )

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cache
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -89,18 +92,25 @@ class ToyPolicy:
             self.logits[ctx] = vec
         return vec
 
-    def probs(self, ctx: Context) -> list[float]:
+    def softmax(self, ctx: Context) -> tuple[list[float], list[float]]:
+        """The next-token probabilities and log-probabilities, in one pass."""
         scaled = [z / self.temperature for z in self.logits_at(ctx)]
         top = max(scaled)
+        if not math.isfinite(top):
+            raise ValueError(
+                f"softmax at context {ctx} overflows: logits / temperature "
+                f"is not finite (temperature = {self.temperature!r})"
+            )
         exps = [math.exp(z - top) for z in scaled]
         total = math.fsum(exps)
-        return [e / total for e in exps]
+        log_norm = top + math.log(total)
+        return [e / total for e in exps], [z - log_norm for z in scaled]
+
+    def probs(self, ctx: Context) -> list[float]:
+        return self.softmax(ctx)[0]
 
     def logprobs(self, ctx: Context) -> list[float]:
-        scaled = [z / self.temperature for z in self.logits_at(ctx)]
-        top = max(scaled)
-        log_norm = top + math.log(math.fsum(math.exp(z - top) for z in scaled))
-        return [z - log_norm for z in scaled]
+        return self.softmax(ctx)[1]
 
     def sequence_logps(self, tokens: Sequence[int]) -> list[float]:
         """Log-probability of each token given its context along the way."""
@@ -197,22 +207,22 @@ def rollout_group(
     """Sample k trajectories autoregressively, recording exact log-probs."""
     rng = random.Random(seed)
     limit = min(policy.horizon, env.max_len)
+    last = policy.vocab_size - 1
+
+    @cache  # the policy is fixed within one call, and only within it
+    def table(ctx: Context) -> tuple[list[float], list[float]]:
+        probs, logps = policy.softmax(ctx)
+        return list(accumulate(probs)), logps
+
     trajectories = []
     for _ in range(k):
         tokens: list[int] = []
         logps: list[float] = []
         while len(tokens) < limit:
-            ctx = policy.context(tokens)
-            probs = policy.probs(ctx)
-            u = rng.random()
-            cum = 0.0
-            token = policy.vocab_size - 1
-            for v, pv in enumerate(probs):
-                cum += pv
-                if u < cum:
-                    token = v
-                    break
-            logps.append(policy.logprobs(ctx)[token])
+            cumulative, ctx_logps = table(policy.context(tokens))
+            # the first token whose running probability sum exceeds the draw
+            token = min(bisect_right(cumulative, rng.random()), last)
+            logps.append(ctx_logps[token])
             tokens.append(token)
             if env.terminal_token is not None and token == env.terminal_token:
                 break
@@ -240,6 +250,8 @@ def _score_sum(
     """
     total = group.total_tokens
     gradient: GradientTable = {}
+    softmax = cache(policy.softmax)  # one softmax per context in this call
+    zeros = [0.0] * policy.vocab_size
     inv_temp = 1.0 / policy.temperature
     for i, start, end in spans:
         tokens = group.trajectories[i].tokens
@@ -247,13 +259,10 @@ def _score_sum(
         for t in range(start, end):
             coef = weights[i][t] * advantages[i] * inv_temp / total
             ctx = policy.context(prefix)
-            grad = gradient.get(ctx)
-            if grad is None:
-                grad = [0.0] * policy.vocab_size
-                gradient[ctx] = grad
-            for v, pv in enumerate(policy.probs(ctx)):
-                grad[v] -= coef * pv
+            probs = softmax(ctx)[0]
+            grad = [g - coef * pv for g, pv in zip(gradient.get(ctx, zeros), probs)]
             grad[tokens[t]] += coef
+            gradient[ctx] = grad
             prefix.append(tokens[t])
     return gradient
 
@@ -317,14 +326,14 @@ def surrogate_value(
     if total == 0:
         return 0.0
     terms = []
+    softmax = cache(policy.softmax)  # the probe changes logits between calls
     for i, traj in enumerate(group.trajectories):
         if traj.logp_new is None:
             raise ValueError("surrogate evaluation needs rollout logp_new")
         adv = advantages[i]
         prefix: list[int] = []
         for t, token in enumerate(traj.tokens):
-            ctx = policy.context(prefix)
-            ratio = math.exp(policy.logprobs(ctx)[token] - traj.logp_new[t])
+            ratio = math.exp(softmax(policy.context(prefix))[1][token] - traj.logp_new[t])
             terms.append(weights[i][t] * ratio * adv)
             prefix.append(token)
     return math.fsum(terms) / total

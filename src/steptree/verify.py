@@ -22,6 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     DEFAULT_EPSILON,
+    DEFAULT_TOL,
     Group,
     RewardStats,
     SAMPLE,
@@ -58,7 +59,6 @@ LOGP_ABSENT = "absent"
 LOGP_RANDOM_CONSISTENT = "random_consistent"
 LOGP_MODES = (LOGP_ABSENT, LOGP_RANDOM_CONSISTENT)
 
-DEFAULT_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
 _REL_FLOOR = 1e-30

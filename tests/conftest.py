@@ -1,6 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import steptree
 from steptree import Group, Trajectory, group_from_sequences
+
+SRC = Path(steptree.__file__).parent.parent
+
+
+def run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a child that imports this package's source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 # Six completions with nested prefix overlap: one three-way shared prefix
 # containing the single best completion and both worst ones, a two-way

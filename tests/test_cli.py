@@ -20,7 +20,7 @@ from steptree.verify import (
     verification_configs,
 )
 
-from conftest import make_overlap_group, make_trivial_group
+from conftest import make_overlap_group, make_trivial_group, run_python
 
 GOLDEN = Path(__file__).parent / "golden"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -429,19 +429,34 @@ class TestWeights:
         assert out.read_bytes() == (GOLDEN / f"weights_{objective}.jsonl").read_bytes()
 
 
-# rewards, the logps of completion 0 (the others carry zeros) and the message part
+# rewards, the logps of completion 0 (the others carry zeros), the message
+# part and the extra flags
 OVERFLOWS = {
-    "variance": ([1e200, -1e200], {}, "group 'wide': reward variance"),
-    "variance-3": ([1.7e308, -1.7e308, -1.7e308], {}, "group 'wide': reward variance"),
+    "variance": ([1e200, -1e200], {}, "group 'wide': reward variance", ()),
+    "variance-3": (
+        [1.7e308, -1.7e308, -1.7e308],
+        {},
+        "group 'wide': reward variance",
+        (),
+    ),
     "ratio": (
         [1.0, 0.0],
         {"logp_new": (0.0,), "logp_old": (-800.0,)},
         "group 'wide', trajectory 0: importance ratio",
+        (),
     ),
     "kl": (
         [1.0, 0.0],
         {"logp_new": (-800.0,), "logp_ref": (0.0,)},
         "group 'wide', trajectory 0: KL term",
+        (),
+    ),
+    # each KL term is finite, beta times it is not
+    "kl-beta": (
+        [1.0, 0.0],
+        {"logp_new": (-709.0, -709.0), "logp_ref": (0.0, 0.0)},
+        "group 'wide': objective term overflows",
+        ("--beta", "100"),
     ),
 }
 
@@ -457,23 +472,91 @@ OVERFLOWS = {
         ("verify", "ratio"),
         ("analyze", "kl"),
         ("weights", "kl"),
+        *(
+            (command, "kl-beta")
+            for command in ("analyze", "weights", "verify")
+        ),
     ],
 )
 def test_overflow_is_an_error(tmp_path, capsys, command, case):
-    rewards, logps, named = OVERFLOWS[case]
-    zeros = {key: (0.0,) for key in logps}
-    trajectories = [Trajectory((0,), rewards[0], **logps)]
-    trajectories += [Trajectory((i,), r, **zeros) for i, r in enumerate(rewards) if i]
+    rewards, logps, named, flags = OVERFLOWS[case]
+    length = max((len(row) for row in logps.values()), default=1)
+    zeros = {key: (0.0,) * length for key in logps}
+    trajectories = [Trajectory((0,) * length, rewards[0], **logps)]
+    trajectories += [
+        Trajectory((i,) * length, r, **zeros) for i, r in enumerate(rewards) if i
+    ]
     path = tmp_path / "wide.jsonl"
     write_dump(path, [Group("wide", trajectories)])
-    assert main([command, str(path)]) == 1
+    assert main([command, str(path), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert named in err
     assert "Traceback" not in err
 
 
+# the README's two configs (the free-form one under each objective) and a
+# series that samples rewarded sequences from its first step
+FREE_FORM = """vocab_size = 3
+horizon = 6
+max_len = 6
+temperature = 1.0
+context_order = 4
+terminal_token = none
+seed = 11
+k = 6
+steps = 40
+learn_rate = 0.5
+objective = {objective}
+reward[0,0,1,2,1,0] = 1.0
+reward[1,1,1,1,1,1] = 0.25
+"""
+LEARNING = """vocab_size = 4
+horizon = 12
+max_len = 12
+terminal_token = 3
+seed = 5
+k = 16
+steps = 20
+objective = lambda
+reward[3] = 1.0
+reward[0,3] = 0.5
+reward[1,1,3] = 0.25
+reward[2,0,1,3] = 0.75
+"""
+SIMULATE_GOLDENS = {
+    "simulate_one_step": "scenario = exploitation\nlearn_rate = 0.5\n",
+    "simulate_series_lambda": FREE_FORM.format(objective="lambda"),
+    "simulate_series_grpo": FREE_FORM.format(objective="grpo"),
+    "simulate_series_learning": LEARNING,
+}
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDENS))
+    def test_golden_bytes(self, tmp_path, name):
+        config = tmp_path / "sim.cfg"
+        config.write_text(SIMULATE_GOLDENS[name], encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["simulate", str(config), "-o", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+    def test_softmax_overflow_names_temperature(self, tmp_path, capsys):
+        # the first update makes logits / temperature overflow
+        config = tmp_path / "sim.cfg"
+        config.write_text(
+            "seed = 1\nk = 8\nsteps = 3\ntemperature = 1e-300\n"
+            "reward[3] = 1\nterminal_token = 3\n",
+            encoding="utf-8",
+        )
+        assert main(["simulate", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: softmax at context () overflows: logits / temperature "
+            "is not finite (temperature = 1e-300)\n"
+        )
+
     def test_exploitation_one_step(self, tmp_path, capsys):
         config = tmp_path / "sim.cfg"
         config.write_text(
@@ -861,3 +944,28 @@ def test_traced_layers_resolve(monkeypatch):
         for name in attr.split("."):
             target = getattr(target, name)
         assert callable(target), (home, attr)
+
+
+def traced_calls(tmp_path, args: list[str]) -> dict[str, int]:
+    """Per-span call counts of one command under the benchmark's traced mode."""
+    spans = tmp_path / "spans.json"
+    result = run_python([str(PERFBENCH / "traced_cli.py"), str(spans), "--", *args])
+    assert result.returncode == 0, result.stderr
+    layers = json.loads(spans.read_text(encoding="utf-8"))["layers"]
+    return {name: entry["calls"] for name, entry in layers.items()}
+
+
+def test_traced_mode_sees_calls_bound_at_call_time(tmp_path, dump):
+    # commands import their modules when they run, after the tracer has
+    # wrapped the layer functions, so the wrappers must still be the ones called
+    config = tmp_path / "sim.cfg"
+    config.write_text("steps = 2\nterminal_token = 3\nreward[3] = 1\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    calls = traced_calls(tmp_path, ["simulate", str(config), "-o", out])
+    assert calls.get("sim.rollout_group") == 2
+    assert calls.get("sim.analytic_gradient") == 2
+    calls = traced_calls(tmp_path, ["analyze", str(dump), "--csv", out])
+    assert calls.get("metrics.summary_add") == 2
+    calls = traced_calls(tmp_path, ["verify", "--random", "2"])
+    assert calls.get("verify.run_verification") == 1
+    assert calls.get("verify.verify_proof_identities", 0) > 0

@@ -1,4 +1,7 @@
 import math
+import random
+from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 
@@ -363,3 +366,133 @@ class TestWorkCounts:
         policy, _, group = exploitation_scenario()
         one_step_comparison(policy, group, ONE_STEP_CFG)
         assert derivations["build_process_tree"] == 1
+
+
+def separate_softmax(policy, ctx):
+    """Probabilities and log-probabilities, each computed on its own."""
+    scaled = [z / policy.temperature for z in policy.logits_at(ctx)]
+    top = max(scaled)
+    exps = [math.exp(z - top) for z in scaled]
+    total = math.fsum(exps)
+    log_norm = top + math.log(math.fsum(math.exp(z - top) for z in scaled))
+    return [e / total for e in exps], [z - log_norm for z in scaled]
+
+
+def test_softmax_halves_are_bitwise_the_separate_forms():
+    rng = random.Random(17)
+    for _ in range(200):
+        vocab = rng.randint(2, 16)
+        policy = ToyPolicy(vocab_size=vocab, temperature=rng.choice([0.05, 0.7, 1.0, 3.0]))
+        ctx = (rng.randrange(vocab),)
+        policy.ensure_context(ctx)[:] = [rng.uniform(-40.0, 40.0) for _ in range(vocab)]
+        for c in (ctx, ()):
+            probs, logps = policy.softmax(c)
+            expected = separate_softmax(policy, c)
+            assert [x.hex() for x in policy.probs(c)] == [x.hex() for x in probs]
+            assert [x.hex() for x in policy.logprobs(c)] == [x.hex() for x in logps]
+            assert [x.hex() for x in probs] == [x.hex() for x in expected[0]]
+            assert [x.hex() for x in logps] == [x.hex() for x in expected[1]]
+
+
+@pytest.fixture
+def softmax_calls(monkeypatch):
+    """Contexts passed to ``ToyPolicy.softmax``, in call order."""
+    calls = []
+    original = ToyPolicy.softmax
+
+    def counted(self, ctx):
+        calls.append(ctx)
+        return original(self, ctx)
+
+    monkeypatch.setattr(ToyPolicy, "softmax", counted)
+    return calls
+
+
+def test_one_softmax_per_context_per_call(softmax_calls):
+    policy = ToyPolicy(vocab_size=3, horizon=6, context_order=2)
+    policy.ensure_context(())[1] = 0.4
+    group = rollout_group(policy, small_env(max_len=6), k=12, seed=4)
+    contexts = sorted(
+        {policy.context(t.tokens[:n]) for t in group.trajectories for n in range(len(t))}
+    )
+    assert group.total_tokens > 2 * len(contexts)  # contexts do repeat
+    assert sorted(softmax_calls) == contexts
+    inputs = gradient_inputs(group, "lambda")
+    for call in (analytic_gradient, surrogate_value, analytic_gradient):
+        softmax_calls.clear()
+        call(policy, group, *inputs)
+        assert sorted(softmax_calls) == contexts, call.__name__
+
+
+def loop_rollout(policy, env, k, seed):
+    """Rollouts drawn with a running-sum loop and a softmax per token."""
+    rng = random.Random(seed)
+    groups = []
+    for _ in range(k):
+        tokens, logps = [], []
+        while len(tokens) < min(policy.horizon, env.max_len):
+            ctx = policy.context(tokens)
+            u, cum, token = rng.random(), 0.0, policy.vocab_size - 1
+            for v, pv in enumerate(separate_softmax(policy, ctx)[0]):
+                cum += pv
+                if u < cum:
+                    token = v
+                    break
+            logps.append(separate_softmax(policy, ctx)[1][token])
+            tokens.append(token)
+            if token == env.terminal_token:
+                break
+        groups.append((tuple(tokens), tuple(logps)))
+    return groups
+
+
+def loop_gradient(policy, group, advantages, weights):
+    """The score-function gradient accumulated coordinate by coordinate."""
+    gradient = {}
+    for i, traj in enumerate(group.trajectories):
+        for t, token in enumerate(traj.tokens):
+            coef = weights[i][t] * advantages[i] * (1.0 / policy.temperature)
+            coef /= group.total_tokens
+            ctx = policy.context(traj.tokens[:t])
+            grad = gradient.setdefault(ctx, [0.0] * policy.vocab_size)
+            for v, pv in enumerate(separate_softmax(policy, ctx)[0]):
+                grad[v] -= coef * pv
+            grad[token] += coef
+    return gradient
+
+
+@pytest.mark.parametrize("temperature", [0.02, 0.5, 1.0, 4.0])
+def test_rollout_and_gradient_match_the_loop_forms(temperature):
+    rng = random.Random(int(temperature * 100))
+    policy = ToyPolicy(vocab_size=4, horizon=8, temperature=temperature, context_order=2)
+    for ctx in ((), (0,), (1, 2), (3, 3)):
+        policy.ensure_context(ctx)[:] = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+    env = ToyEnv(reward_table={(3,): 1.0, (0, 3): 0.5}, max_len=8, terminal_token=3)
+    for seed in range(5):
+        group = rollout_group(policy, env, k=16, seed=seed)
+        drawn = [(t.tokens, t.logp_new) for t in group.trajectories]
+        assert drawn == loop_rollout(policy, env, 16, seed)
+        for objective in ("grpo", "lambda"):
+            inputs = gradient_inputs(group, objective)
+            gradient = analytic_gradient(policy, group, *inputs)
+            # repr tells -0.0 from 0.0 and shows the context order
+            assert repr(gradient) == repr(loop_gradient(policy, group, *inputs))
+
+
+class TopDraw:
+    """A generator whose every draw is the largest value random() returns."""
+
+    def __init__(self, seed):
+        pass
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+def test_draw_past_the_last_running_sum_takes_the_last_token(monkeypatch):
+    # ten probabilities of 0.1 sum to 1 - 2**-53, so the top draw passes them all
+    monkeypatch.setattr(steptree.sim, "random", SimpleNamespace(Random=TopDraw))
+    policy = ToyPolicy(vocab_size=10, horizon=2, context_order=0)
+    assert list(accumulate(policy.probs(())))[-1] == TopDraw(0).random()
+    group = rollout_group(policy, ToyEnv(reward_table={}, max_len=2), k=2, seed=0)
+    assert [t.tokens for t in group.trajectories] == [(9, 9), (9, 9)]

@@ -70,8 +70,7 @@ def group_metrics(tree: ProcessTree, group: Group) -> GroupMetrics:
     n_terms = []
     proportions = []
     zero_length = []
-    for i, traj in enumerate(group.trajectories):
-        leaf = tree.leaves[i]
+    for traj, leaf in zip(group.trajectories, tree.leaves):
         depths.append(max(depth_of[leaf.node_id] - 1, 0))
         n_term = leaf.span_len
         n_terms.append(n_term)

@@ -130,7 +130,8 @@ def token_terms(group: Group, config: ObjectiveConfig) -> TokenTerms:
 
 def lambda_weights(assignment: TokenAssignment) -> list[list[float]]:
     """Per-token weights 1/|owning process set|, each in (0, 1]."""
-    return [[1.0 / size for size in row] for row in assignment.sizes]
+    weights = [1.0 / node.size for node in assignment.nodes]
+    return [[weights[n] for n in row] for row in assignment.owner_ids]
 
 
 def _token_sum(
@@ -207,4 +208,6 @@ def objective_lambda(
     of in proportion to their size.
     """
     advantage_rows = [repeat(a) for a in advantages]
-    return _token_sum(LAMBDA, group, advantage_rows, assignment.sizes, terms)
+    sizes = [node.size for node in assignment.nodes]
+    divisor_rows = [map(sizes.__getitem__, row) for row in assignment.owner_ids]
+    return _token_sum(LAMBDA, group, advantage_rows, divisor_rows, terms)

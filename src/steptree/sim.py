@@ -81,10 +81,6 @@ class ToyPolicy:
             return ()
         return tuple(prefix[-self.context_order :])
 
-    def logits_at(self, ctx: Context) -> list[float]:
-        vec = self.logits.get(ctx)
-        return list(vec) if vec is not None else [0.0] * self.vocab_size
-
     def ensure_context(self, ctx: Context) -> list[float]:
         vec = self.logits.get(ctx)
         if vec is None:
@@ -94,7 +90,8 @@ class ToyPolicy:
 
     def softmax(self, ctx: Context) -> tuple[list[float], list[float]]:
         """The next-token probabilities and log-probabilities, in one pass."""
-        scaled = [z / self.temperature for z in self.logits_at(ctx)]
+        vec = self.logits.get(ctx, [0.0] * self.vocab_size)
+        scaled = [z / self.temperature for z in vec]
         top = max(scaled)
         if not math.isfinite(top):
             raise ValueError(
@@ -109,15 +106,12 @@ class ToyPolicy:
     def probs(self, ctx: Context) -> list[float]:
         return self.softmax(ctx)[0]
 
-    def logprobs(self, ctx: Context) -> list[float]:
-        return self.softmax(ctx)[1]
-
     def sequence_logps(self, tokens: Sequence[int]) -> list[float]:
         """Log-probability of each token given its context along the way."""
         out = []
         prefix: list[int] = []
         for tok in tokens:
-            out.append(self.logprobs(self.context(prefix))[tok])
+            out.append(self.softmax(self.context(prefix))[1][tok])
             prefix.append(tok)
         return out
 
@@ -299,7 +293,7 @@ def node_gradient(
     therefore differ by exactly that factor, coordinate by coordinate.
     """
     stats = reward_stats(group, config.std_mode, config.epsilon)
-    spans = ((i, node.span_start, node.span_end) for i in sorted(node.members))
+    spans = ((i, node.span_start, node.span_end) for i in node.members)
     advantages = outcome_advantages(group, stats)
     units = _token_weights(group, GRPO)
     gradient = _score_sum(policy, group, spans, advantages, units)
@@ -586,7 +580,7 @@ def one_step_comparison(
         )
     return OneStepComparison(
         shared_prefix=tuple(prefix),
-        shared_members=tuple(sorted(node.members)),
+        shared_members=node.members,
         shared_size=node.size,
         grpo=shifts[GRPO],
         lam=shifts[LAMBDA],

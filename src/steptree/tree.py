@@ -25,10 +25,13 @@ _LABEL_TOKEN_LIMIT = 8
 
 @dataclass(frozen=True, eq=False)
 class ProcessNode:
-    """A process set and the token span its members share."""
+    """A process set and the token span its members share.
+
+    ``members`` holds the completion indices of the set in increasing order.
+    """
 
     node_id: int
-    members: frozenset[int]
+    members: tuple[int, ...]
     span_start: int
     span_end: int
     children: tuple["ProcessNode", ...] = ()
@@ -41,36 +44,33 @@ class ProcessNode:
     def span_len(self) -> int:
         return self.span_end - self.span_start
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass(frozen=True, eq=False)
 class ProcessTree:
     """Tree of all maximal process sets of one group.
 
     ``nodes`` lists every node in construction order (depth-first), so
-    ``nodes[i].node_id == i`` and exports are deterministic. ``leaves`` maps
-    each trajectory index to its terminal singleton node.
+    ``nodes[i].node_id == i`` and exports are deterministic. ``leaves[i]``
+    is completion i's terminal singleton node.
     """
 
     root: ProcessNode
     nodes: tuple[ProcessNode, ...]
-    leaves: dict[int, ProcessNode]
+    leaves: tuple[ProcessNode, ...]
     max_len: int
 
 
 @dataclass(eq=False)
 class TokenAssignment:
-    """The owning node id of every token of every trajectory, and that node's size.
+    """The owning node id of every token of every trajectory.
 
     ``owner_ids[i][t]`` indexes ``nodes``, the tree's nodes in id order.
+    What a token shares with its process set (the set's size, step
+    advantage and weight) is read from that node.
     """
 
     nodes: tuple[ProcessNode, ...]
     owner_ids: tuple[tuple[int, ...], ...]
-    sizes: tuple[tuple[int, ...], ...]
 
     def owner(self, i: int, t: int) -> ProcessNode:
         return self.nodes[self.owner_ids[i][t]]
@@ -94,8 +94,10 @@ def build_process_tree(group: Group) -> ProcessTree:
     seqs = [t.tokens for t in group.trajectories]
     spans: list[tuple[list[int], int, int]] = []
     child_ids: list[list[int]] = []
-    leaf_ids: dict[int, int] = {}
-    stack = [(sorted(range(group.k)), 0, -1)]
+    leaf_ids = [0] * group.k
+    # members lists stay in increasing index order: every split below keeps
+    # the order of its parent's list
+    stack = [(list(range(group.k)), 0, -1)]
     while stack:
         members, start, parent = stack.pop()
         node_id = len(spans)
@@ -137,41 +139,34 @@ def build_process_tree(group: Group) -> ProcessTree:
         ids = child_ids[node_id]
         children = tuple([built[c] for c in ids]) if ids else ()
         # positional: keyword arguments make small-tree builds ~10% slower
-        built[node_id] = ProcessNode(node_id, frozenset(members), start, end, children)
+        built[node_id] = ProcessNode(node_id, tuple(members), start, end, children)
     nodes = tuple(built)
     return ProcessTree(
         root=nodes[0],
         nodes=nodes,
-        leaves={i: nodes[n] for i, n in leaf_ids.items()},
+        leaves=tuple([nodes[n] for n in leaf_ids]),
         max_len=group.max_len,
     )
 
 
 def assign_tokens(tree: ProcessTree) -> TokenAssignment:
-    """Map every (trajectory, position) to its unique owning node id and its size.
+    """Map every (trajectory, position) to its unique owning node id.
 
     The spans along each root-to-leaf path are contiguous and disjoint, so
     filling each node's span slice, node by node, yields a total assignment.
     """
     # leaf.span_end equals the trajectory length, so each row is sized to
     # its trajectory
-    rows = {i: [-1] * leaf.span_end for i, leaf in tree.leaves.items()}
-    sizes = {i: [0] * leaf.span_end for i, leaf in tree.leaves.items()}
+    rows = [[-1] * leaf.span_end for leaf in tree.leaves]
     for node in tree.nodes:
         span = slice(node.span_start, node.span_end)
-        owned, size = [node.node_id] * node.span_len, [node.size] * node.span_len
+        owned = [node.node_id] * node.span_len
         for i in node.members:
             rows[i][span] = owned
-            sizes[i][span] = size
-    for i, row in rows.items():
+    for i, row in enumerate(rows):
         if -1 in row:
             raise RuntimeError(f"trajectory {i} has tokens outside every span")
-    order = sorted(rows)
-    return TokenAssignment(
-        nodes=tree.nodes,
-        owner_ids=tuple(tuple(rows[i]) for i in order),
-        sizes=tuple(tuple(sizes[i]) for i in order),
-    )
+    return TokenAssignment(nodes=tree.nodes, owner_ids=tuple([tuple(row) for row in rows]))
 
 
 def is_trivial(tree: ProcessTree) -> bool:
@@ -200,7 +195,7 @@ def export_tree(
 
 
 def _span_tokens(node: ProcessNode, group: Group) -> list[int]:
-    lead = min(node.members)
+    lead = node.members[0]
     return list(group.trajectories[lead].tokens[node.span_start : node.span_end])
 
 
@@ -217,7 +212,7 @@ def _export_dot(
     yield "digraph process_tree {\n"
     yield '  node [shape=box, style=filled, fillcolor="#ffffff"];\n'
     for node in tree.nodes:
-        members = ",".join(f"g{i}" for i in sorted(node.members))
+        members = ",".join(f"g{i}" for i in node.members)
         label = f"{{{members}}}\\n[{node.span_start},{node.span_end})"
         token_text = _token_label(_span_tokens(node, group))
         if token_text:
@@ -226,7 +221,7 @@ def _export_dot(
         attrs = [f'label="{label}"']
         if node is tree.root:
             attrs.append('fillcolor="#f8cecc"')
-        elif node.is_leaf:
+        elif not node.children:
             attrs.append('fillcolor="#fff2cc"')
         yield f"  n{node.node_id} [{', '.join(attrs)}];\n"
     for node in tree.nodes:
@@ -258,7 +253,7 @@ def _export_json(
         node, pad = item
         fields = {
             "id": node.node_id,
-            "members": sorted(node.members),
+            "members": node.members,
             "span_start": node.span_start,
             "span_end": node.span_end,
             "tokens": _span_tokens(node, group),

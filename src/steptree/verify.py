@@ -287,9 +287,9 @@ class VerificationReport:
 class GroupDerivation(NamedTuple):
     """The inputs both checks share, derived once per group.
 
-    ``node_advantages`` (the normalized step reward) and ``node_members``
-    (the sorted member tuple) are indexed by node id; ``terms`` and ``grpo``
-    hold the token terms and the GRPO report of each config in ``configs``.
+    ``node_advantages`` (the normalized step reward) is indexed by node id;
+    ``terms`` and ``grpo`` hold the token terms and the GRPO report of each
+    config in ``configs``.
     """
 
     group: Group
@@ -298,7 +298,6 @@ class GroupDerivation(NamedTuple):
     advantages: list[float]
     tree: ProcessTree
     node_advantages: tuple[float, ...]
-    node_members: tuple[tuple[int, ...], ...]
     terms: tuple[TokenTerms, ...]
     grpo: tuple[ObjectiveReport, ...]
 
@@ -322,7 +321,6 @@ def derive_group(
         advantages=advantages,
         tree=tree,
         node_advantages=node_advantages(tree, group, stats),
-        node_members=tuple(tuple(sorted(node.members)) for node in tree.nodes),
         terms=terms,
         grpo=tuple(objective_grpo(group, advantages, t) for t in terms),
     )
@@ -356,9 +354,8 @@ def _prm_value_by_nodes(derived: GroupDerivation, terms: TokenTerms) -> float:
     """
     p, d, beta = terms
     values = []
-    for node, members, ahat in zip(
-        derived.tree.nodes, derived.node_members, derived.node_advantages
-    ):
+    for node, ahat in zip(derived.tree.nodes, derived.node_advantages):
+        members = node.members
         values += [
             p[i][t] * ahat - beta * d[i][t]
             for t in range(node.span_start, node.span_end)
@@ -460,20 +457,20 @@ def verify_proof_identities(derived: GroupDerivation) -> VerificationEntry:
     the check that gap came from.
     """
     group, tree = derived.group, derived.tree
-    members_of, ahat_of = derived.node_members, derived.node_advantages
+    ahat_of = derived.node_advantages
     assignment = assign_tokens(tree)
     steps = step_advantages(tree, assignment, group, derived.stats)
     shared = [
-        (members_of[n.node_id], ahat_of[n.node_id], range(n.span_start, n.span_end))
+        (n.members, ahat_of[n.node_id], range(n.span_start, n.span_end))
         for n in tree.nodes
-        if n.span_len and len(members_of[n.node_id]) > 1
+        if n.span_len and len(n.members) > 1
     ]
-    node_pairs = list(zip(members_of, ahat_of))
+    node_pairs = [(n.members, ahat) for n, ahat in zip(tree.nodes, ahat_of)]
     partitions = [
         [node_pairs[n.node_id] for n in partition] for partition in _span_partitions(tree)
     ]
-    # sizes from the oracle's member table, not the assignment.sizes lambda divides by
-    sizes = [len(members) for members in members_of]
+    # each token's owning set size, counted from the members
+    sizes = [len(n.members) for n in tree.nodes]
     size_rows = [[sizes[n] for n in row] for row in assignment.owner_ids]
     total = group.total_tokens
     gaps = []

@@ -30,7 +30,8 @@ def enumerate_process_sets(seqs):
     tokens; each such class is a process set. Singletons are always
     included (duplicates never separate by prefix alone). The span of a set
     is [e(parent), e(set)] with e the capped common-prefix length and the
-    parent the smallest strict superset.
+    parent the smallest strict superset. Each set is keyed by its members
+    as a sorted tuple.
     """
     max_len = max(len(s) for s in seqs)
     classes = set()
@@ -52,7 +53,7 @@ def enumerate_process_sets(seqs):
             start = lcp_len([seqs[i] for i in parent])
         else:
             start = 0
-        spans[members] = (start, end)
+        spans[tuple(sorted(members))] = (start, end)
     return spans
 
 

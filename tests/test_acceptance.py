@@ -138,21 +138,21 @@ def test_criterion_4_structural_goldens():
     tree = build_process_tree(group)
     spans = {n.members: (n.span_start, n.span_end) for n in tree.nodes}
     assert spans == {
-        frozenset({0, 1, 2, 3, 4, 5}): (0, 0),
-        frozenset({0, 1}): (0, 3),
-        frozenset({2, 3, 4}): (0, 4),
-        frozenset({3, 4}): (4, 6),
-        frozenset({0}): (3, 6),
-        frozenset({1}): (3, 5),
-        frozenset({2}): (4, 6),
-        frozenset({3}): (6, 7),
-        frozenset({4}): (6, 8),
-        frozenset({5}): (0, 2),
+        (0, 1, 2, 3, 4, 5): (0, 0),
+        (0, 1): (0, 3),
+        (2, 3, 4): (0, 4),
+        (3, 4): (4, 6),
+        (0,): (3, 6),
+        (1,): (3, 5),
+        (2,): (4, 6),
+        (3,): (6, 7),
+        (4,): (6, 8),
+        (5,): (0, 2),
     }
     assignment = assign_tokens(tree)
-    assert assignment.owner(0, 0).members == frozenset({0, 1})
-    assert assignment.owner(0, 3).members == frozenset({0})
-    assert assignment.owner(4, 5).members == frozenset({3, 4})
+    assert assignment.owner(0, 0).members == (0, 1)
+    assert assignment.owner(0, 3).members == (0,)
+    assert assignment.owner(4, 5).members == (3, 4)
     metrics = group_metrics(tree, group)
     assert metrics.path_depth[3] == 2
     assert metrics.intermediate_proportion[3] == 6.0 / 7.0

@@ -495,8 +495,37 @@ def test_overflow_is_an_error(tmp_path, capsys, command, case):
     assert "Traceback" not in err
 
 
-# the README's two configs (the free-form one under each objective) and a
-# series that samples rewarded sequences from its first step
+@pytest.mark.parametrize(
+    "command, out_flag",
+    [("analyze", None), ("analyze", "--csv"), ("weights", None), ("weights", "-o")],
+)
+def test_error_follows_the_output_of_earlier_groups(tmp_path, capsys, command, out_flag):
+    logps = {"logp_new": (-0.5, -0.5), "logp_ref": (-0.5, -0.5)}
+    ok = Group("ok", [Trajectory((1, 2), 1.0, **logps), Trajectory((1, 3), 0.0, **logps)])
+    # beta times its first completion's KL terms overflows
+    overflow = Trajectory((1, 2), 1.0, logp_new=(-709.0, -709.0), logp_ref=(0.0, 0.0))
+    kl = Group("kl", [overflow, Trajectory((1, 3), 0.0, **logps)])
+    write_dump(tmp_path / "ok.jsonl", [ok])
+    assert main([command, str(tmp_path / "ok.jsonl"), "--beta", "100"]) == 0
+    expected = capsys.readouterr().out
+    assert len(expected.splitlines()) == (2 if command == "analyze" else 1)
+
+    write_dump(tmp_path / "both.jsonl", [ok, kl])
+    out = tmp_path / "out"
+    flags = [out_flag, str(out)] if out_flag else []
+    assert main([command, str(tmp_path / "both.jsonl"), "--beta", "100", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: group 'kl': objective term overflows\n"
+    if out_flag:
+        assert captured.out == ""
+        assert out.read_text(encoding="utf-8") == expected
+    else:
+        assert captured.out == expected
+
+
+# a free-form config under each objective, whose rollouts never sample a
+# rewarded sequence, and the README's free-form config, which samples them
+# from its first step
 FREE_FORM = """vocab_size = 3
 horizon = 6
 max_len = 6
@@ -723,6 +752,11 @@ class TestSimulate:
             config.write_text(block.split("```")[0], encoding="utf-8")
             assert main(["simulate", str(config), "-o", str(tmp_path / "out.csv")]) == 0
 
+    def test_readme_free_form_config_is_the_learning_one(self):
+        # its series is pinned by the simulate_series_learning golden
+        blocks = README.read_text(encoding="utf-8").split("```ini\n")[1:]
+        assert blocks[1].split("```")[0] == LEARNING
+
 
 def test_readme_quick_tour_runs():
     # every name the tour uses must still exist in the package
@@ -842,23 +876,6 @@ class TestUsage:
     def test_missing_file_reports_error(self, capsys):
         assert main(["analyze", "/does/not/exist.jsonl"]) == 1
         assert "error" in capsys.readouterr().err
-
-
-def test_chain_deeper_than_recursion_limit(tmp_path, capsys):
-    # completion j is a strict prefix of completion j + 1, so the tree is k
-    # levels deep, deeper than the default recursion limit
-    k = 1200
-    chain = group_from_sequences(
-        "chain", [[1] * (j + 1) for j in range(k)], [float(j % 2) for j in range(k)]
-    )
-    path = tmp_path / "chain.jsonl"
-    write_dump(path, [chain])
-    assert main(["analyze", str(path)]) == 0
-    assert main(["weights", str(path), "--objective", "lambda"]) == 0
-    assert main(["verify", str(path), "--skip-identities"]) == 0
-    out = capsys.readouterr().out
-    assert "equivalence: 1 group(s)" in out
-    assert out.rstrip().endswith("... ok")
 
 
 def test_tree_json_export_deeper_than_recursion_limit(tmp_path):

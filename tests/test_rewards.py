@@ -19,7 +19,7 @@ SHARED_TRIO_ADV = -0.22140372138502393  # (1/3 - mean) / std for the overlap fix
 
 def find_node(tree, members):
     for node in tree.nodes:
-        if node.members == frozenset(members):
+        if node.members == tuple(sorted(members)):
             return node
     raise AssertionError(f"no node {members}")
 
@@ -32,7 +32,7 @@ class TestStepReward:
 
     def test_singleton_recovers_outcome(self, overlap_group):
         tree = build_process_tree(overlap_group)
-        for i, leaf in tree.leaves.items():
+        for i, leaf in enumerate(tree.leaves):
             assert step_reward(leaf, overlap_group) == overlap_group.rewards[i]
 
     def test_root_is_group_mean(self, overlap_group):

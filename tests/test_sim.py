@@ -61,7 +61,7 @@ class TestPolicy:
         policy = ToyPolicy(vocab_size=4, temperature=2.0)
         policy.ensure_context((0,))[1] = -1.0
         probs = policy.probs((0,))
-        logps = policy.logprobs((0,))
+        logps = policy.softmax((0,))[1]
         for p, lp in zip(probs, logps):
             assert lp <= 0.0 or p > 1.0 - 1e-12
             assert math.exp(lp) == pytest.approx(p, rel=1e-12)
@@ -370,7 +370,8 @@ class TestWorkCounts:
 
 def separate_softmax(policy, ctx):
     """Probabilities and log-probabilities, each computed on its own."""
-    scaled = [z / policy.temperature for z in policy.logits_at(ctx)]
+    vec = policy.logits.get(ctx, [0.0] * policy.vocab_size)
+    scaled = [z / policy.temperature for z in vec]
     top = max(scaled)
     exps = [math.exp(z - top) for z in scaled]
     total = math.fsum(exps)
@@ -389,7 +390,8 @@ def test_softmax_halves_are_bitwise_the_separate_forms():
             probs, logps = policy.softmax(c)
             expected = separate_softmax(policy, c)
             assert [x.hex() for x in policy.probs(c)] == [x.hex() for x in probs]
-            assert [x.hex() for x in policy.logprobs(c)] == [x.hex() for x in logps]
+            last = [policy.sequence_logps(c + (t,))[-1] for t in range(vocab)]
+            assert [x.hex() for x in last] == [x.hex() for x in logps]
             assert [x.hex() for x in probs] == [x.hex() for x in expected[0]]
             assert [x.hex() for x in logps] == [x.hex() for x in expected[1]]
 

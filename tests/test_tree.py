@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -19,16 +20,16 @@ from oracles import enumerate_process_sets, lcp_len, owner_of, partition_at
 
 # brute-force enumeration of the overlap fixture: members -> (start, end)
 OVERLAP_NODES = {
-    frozenset({0, 1, 2, 3, 4, 5}): (0, 0),
-    frozenset({0, 1}): (0, 3),
-    frozenset({2, 3, 4}): (0, 4),
-    frozenset({3, 4}): (4, 6),
-    frozenset({0}): (3, 6),
-    frozenset({1}): (3, 5),
-    frozenset({2}): (4, 6),
-    frozenset({3}): (6, 7),
-    frozenset({4}): (6, 8),
-    frozenset({5}): (0, 2),
+    (0, 1, 2, 3, 4, 5): (0, 0),
+    (0, 1): (0, 3),
+    (2, 3, 4): (0, 4),
+    (3, 4): (4, 6),
+    (0,): (3, 6),
+    (1,): (3, 5),
+    (2,): (4, 6),
+    (3,): (6, 7),
+    (4,): (6, 8),
+    (5,): (0, 2),
 }
 
 
@@ -40,7 +41,7 @@ class TestBuild:
     def test_overlap_structure(self, overlap_group):
         tree = build_process_tree(overlap_group)
         assert node_map(tree) == OVERLAP_NODES
-        assert tree.root.members == frozenset(range(6))
+        assert tree.root.members == tuple(range(6))
         assert len(tree.nodes) == 10
 
     def test_distinct_first_tokens(self, trivial_group):
@@ -53,45 +54,45 @@ class TestBuild:
         group = group_from_sequences("dup2", [(4, 4, 4), (4, 4, 4)], [1.0, 0.0])
         tree = build_process_tree(group)
         assert node_map(tree) == {
-            frozenset({0, 1}): (0, 3),
-            frozenset({0}): (3, 3),
-            frozenset({1}): (3, 3),
+            (0, 1): (0, 3),
+            (0,): (3, 3),
+            (1,): (3, 3),
         }
 
     def test_duplicate_pair_within_larger_group(self, duplicate_group):
         tree = build_process_tree(duplicate_group)
         spans = node_map(tree)
-        assert spans[frozenset({0, 1})] == (1, 3)
-        assert spans[frozenset({0})] == (3, 3)
-        assert spans[frozenset({2})] == (1, 2)
+        assert spans[(0, 1)] == (1, 3)
+        assert spans[(0,)] == (3, 3)
+        assert spans[(2,)] == (1, 2)
 
     def test_exact_prefix_leaf_is_empty(self):
         group = group_from_sequences("pfx", [(1, 2), (1, 2, 9, 9)], [0.0, 1.0])
         tree = build_process_tree(group)
         spans = node_map(tree)
-        assert spans[frozenset({0, 1})] == (0, 2)
-        assert spans[frozenset({0})] == (2, 2)
-        assert spans[frozenset({1})] == (2, 4)
+        assert spans[(0, 1)] == (0, 2)
+        assert spans[(0,)] == (2, 2)
+        assert spans[(1,)] == (2, 4)
 
     def test_zero_length_trajectory(self):
         group = group_from_sequences("z", [(), (1, 1), (1,)], [0.0, 1.0, 0.5])
         tree = build_process_tree(group)
         spans = node_map(tree)
-        assert spans[frozenset({0})] == (0, 0)
-        assert spans[frozenset({1, 2})] == (0, 1)
+        assert spans[(0,)] == (0, 0)
+        assert spans[(1, 2)] == (0, 1)
 
     def test_every_trajectory_has_a_leaf(self, overlap_group):
         tree = build_process_tree(overlap_group)
-        assert sorted(tree.leaves) == list(range(overlap_group.k))
-        for i, leaf in tree.leaves.items():
-            assert leaf.members == frozenset({i})
+        assert len(tree.leaves) == overlap_group.k
+        for i, leaf in enumerate(tree.leaves):
+            assert leaf.members == (i,)
             assert leaf.span_end == len(overlap_group.trajectories[i])
 
     def test_children_partition_parent(self, overlap_group):
         tree = build_process_tree(overlap_group)
         for node in tree.nodes:
             if node.children:
-                union = frozenset().union(*(c.members for c in node.children))
+                union = tuple(sorted(i for c in node.children for i in c.members))
                 assert union == node.members
                 sizes = sum(c.size for c in node.children)
                 assert sizes == node.size
@@ -111,7 +112,7 @@ class TestBuild:
             for node in tree.nodes:
                 for child in node.children:
                     parent[child.node_id] = node
-            for i, leaf in tree.leaves.items():
+            for i, leaf in enumerate(tree.leaves):
                 spans = []
                 node = leaf
                 while True:
@@ -137,7 +138,7 @@ class TestBuild:
                 assert lcp_len([seqs[i] for i in members]) == node.span_end
                 if node is tree.root:
                     continue
-                for outsider in set(range(group.k)) - node.members:
+                for outsider in set(range(group.k)) - set(node.members):
                     extended = [seqs[i] for i in members] + [seqs[outsider]]
                     assert lcp_len(extended) < node.span_start + 1
 
@@ -168,12 +169,31 @@ class TestBuild:
             assert got == base
 
 
+class TestRepresentation:
+    @pytest.mark.parametrize("fork_bias", [0.0, 0.5, 1.0])
+    def test_members_are_increasing_tuples(self, fork_bias):
+        params = GenParams(seed=31, k_range=(2, 10), length_range=(0, 8), fork_bias=fork_bias)
+        for index in range(40):
+            group = generate_random_group(params, index)
+            tree = build_process_tree(group)
+            for node in tree.nodes:
+                assert type(node.members) is tuple
+                assert all(a < b for a, b in zip(node.members, node.members[1:]))
+            assert type(tree.leaves) is tuple
+            assert [leaf.members for leaf in tree.leaves] == [(i,) for i in range(group.k)]
+
+    def test_assignment_holds_only_owner_ids(self, overlap_group):
+        assignment = assign_tokens(build_process_tree(overlap_group))
+        assert [f.name for f in dataclasses.fields(assignment)] == ["nodes", "owner_ids"]
+        assert not hasattr(assignment, "sizes")
+
+
 class TestAssignment:
     def test_overlap_sample_owners(self, overlap_group):
         assignment = assign_tokens(build_process_tree(overlap_group))
-        assert assignment.owner(0, 0).members == frozenset({0, 1})
-        assert assignment.owner(0, 3).members == frozenset({0})
-        assert assignment.owner(4, 5).members == frozenset({3, 4})
+        assert assignment.owner(0, 0).members == (0, 1)
+        assert assignment.owner(0, 3).members == (0,)
+        assert assignment.owner(4, 5).members == (3, 4)
 
     def test_total_and_unique(self, overlap_group):
         tree = build_process_tree(overlap_group)
@@ -192,23 +212,23 @@ class TestAssignment:
         assignment = assign_tokens(build_process_tree(trivial_group))
         for i, row in enumerate(assignment.owner_ids):
             for t in range(len(row)):
-                assert assignment.owner(i, t).members == frozenset({i})
+                assert assignment.owner(i, t).members == (i,)
 
 
 class TestPartition:
     def test_overlap_partitions(self, overlap_group):
         tree = build_process_tree(overlap_group)
         assert {n.members for n in partition_at(tree, 0)} == {
-            frozenset({0, 1}),
-            frozenset({2, 3, 4}),
-            frozenset({5}),
+            (0, 1),
+            (2, 3, 4),
+            (5,),
         }
         assert {n.members for n in partition_at(tree, 5)} == {
-            frozenset({0}),
-            frozenset({2}),
-            frozenset({3, 4}),
+            (0,),
+            (2,),
+            (3, 4),
         }
-        assert {n.members for n in partition_at(tree, 7)} == {frozenset({4})}
+        assert {n.members for n in partition_at(tree, 7)} == {(4,)}
 
     def test_disjoint_union_property(self):
         params = GenParams(seed=14, k_range=(2, 6), length_range=(0, 8), fork_bias=0.6)
@@ -219,8 +239,8 @@ class TestPartition:
                 nodes = partition_at(tree, t)
                 seen: set[int] = set()
                 for node in nodes:
-                    assert not (node.members & seen)
-                    seen |= node.members
+                    assert seen.isdisjoint(node.members)
+                    seen.update(node.members)
                 alive = {
                     i
                     for i, traj in enumerate(group.trajectories)
@@ -292,7 +312,7 @@ class TestExport:
         flat = {}
 
         def walk(node):
-            flat[frozenset(node["members"])] = (node["span_start"], node["span_end"])
+            flat[tuple(node["members"])] = (node["span_start"], node["span_end"])
             for child in node["children"]:
                 walk(child)
 

@@ -162,7 +162,7 @@ def _weight_parts(
     group: Group, objective: str, beta: float, std_mode: str, epsilon: float
 ) -> tuple:
     """A weight record's head fields, outcome advantages, per-node step
-    advantages and 1/size weights, and owner id rows; both formats read it."""
+    advantages and 1/size weights, and token assignment; both formats read it."""
     if objective not in (GRPO, LAMBDA):
         raise ValueError(f"objective must be '{GRPO}' or '{LAMBDA}'")
     stats = reward_stats(group, std_mode, epsilon)
@@ -181,7 +181,7 @@ def _weight_parts(
     head["loss"] = report.loss
     node_weights = [1.0 / node.size for node in tree.nodes]
     node_adv = node_advantages(tree, group, stats)
-    return head, advantages, node_adv, node_weights, assignment.owner_ids
+    return head, advantages, node_adv, node_weights, assignment
 
 
 def weight_record(
@@ -197,16 +197,14 @@ def weight_record(
     advantages, the 1/|owning set| weights, and both the objective value
     and its negated loss under the requested objective tag.
     """
-    record, advantages, node_adv, node_weights, owner_ids = _weight_parts(
+    record, advantages, node_adv, node_weights, assignment = _weight_parts(
         group, objective, beta, std_mode, epsilon
     )
     record["completions"] = [
-        {
-            "advantage": a,
-            "token_advantage": [node_adv[n] for n in ids],
-            "lambda_weight": [node_weights[n] for n in ids],
-        }
-        for a, ids in zip(advantages, owner_ids)
+        {"advantage": a, "token_advantage": adv_row, "lambda_weight": weight_row}
+        for a, adv_row, weight_row in zip(
+            advantages, assignment.rows(node_adv), assignment.rows(node_weights)
+        )
     ]
     return record
 
@@ -220,21 +218,22 @@ def weight_line(
 ) -> str:
     """``json.dumps(weight_record(...), separators=(",", ":"))``, built per node.
 
-    Each node's step advantage and weight is rendered once, and every token
-    row is joined from those texts by owner id.
+    Each node's run of step advantages and of weights is rendered once, and
+    every token row joins the runs along its completion's path.
     """
-    head, advantages, node_adv, node_weights, owner_ids = _weight_parts(
+    head, advantages, node_adv, node_weights, assignment = _weight_parts(
         group, objective, beta, std_mode, epsilon
     )
     dumps = json.dumps
-    adv_text = [dumps(a) for a in node_adv]
-    weight_text = [dumps(w) for w in node_weights]
+    lengths = [node.span_len for node in assignment.nodes]
+    adv_runs = [",".join([dumps(a)] * n) for a, n in zip(node_adv, lengths)]
+    weight_runs = [",".join([dumps(w)] * n) for w, n in zip(node_weights, lengths)]
     completions = ",".join(
         [
             f'{{"advantage":{dumps(a)},'
-            f'"token_advantage":[{",".join([adv_text[n] for n in ids])}],'
-            f'"lambda_weight":[{",".join([weight_text[n] for n in ids])}]}}'
-            for a, ids in zip(advantages, owner_ids)
+            f'"token_advantage":[{",".join([adv_runs[n] for n in path])}],'
+            f'"lambda_weight":[{",".join([weight_runs[n] for n in path])}]}}'
+            for a, path in zip(advantages, assignment.paths)
         ]
     )
     # the head's closing brace gives way to the completions

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Group, check_nonnegative
@@ -130,30 +130,43 @@ def token_terms(group: Group, config: ObjectiveConfig) -> TokenTerms:
 
 def lambda_weights(assignment: TokenAssignment) -> list[list[float]]:
     """Per-token weights 1/|owning process set|, each in (0, 1]."""
-    weights = [1.0 / node.size for node in assignment.nodes]
-    return [[weights[n] for n in row] for row in assignment.owner_ids]
+    return assignment.rows([1.0 / node.size for node in assignment.nodes])
 
 
 def _token_sum(
     objective: str,
     group: Group,
-    advantage_rows: Iterable[Iterable[float]],
-    divisor_rows: Iterable[Iterable[float]],
+    advantages: Iterable,
+    divisor_runs: Iterable[Iterable[tuple[int, int]]],
     terms: TokenTerms,
 ) -> ObjectiveReport:
     """Token mean of (P * A - beta * D) / s over the whole group.
 
-    Rows are per completion; advantage and divisor rows may be endless
-    (``itertools.repeat``), since each is cut to its completion's length.
+    ``advantages[i]`` is completion i's advantage: one float for all its
+    tokens, or a per-token row. ``divisor_runs[i]`` lists the (s, length)
+    runs that tile completion i. A row is node-constant when beta is 0, its
+    advantage is one float other than -0.0, and its P and D entries all equal
+    1.0 and 0.0: each term is then ``a / s`` bit for bit, so the row is built
+    as ``[a / s] * length`` per run. Other rows are computed token by token.
     A term sum beyond the float range is an error naming the group.
     """
     p, d, beta = terms
-    term_rows = tuple(
-        [
-            tuple([(p_t * a_t - beta * d_t) / s_t for p_t, a_t, d_t, s_t in zip(*rows)])
-            for rows in zip(p, advantage_rows, d, divisor_rows, strict=True)
-        ]
-    )
+    term_rows = []
+    for p_row, a, d_row, runs in zip(p, advantages, d, divisor_runs, strict=True):
+        constant = type(a) is float and beta == 0.0 and (a or math.copysign(1.0, a) > 0.0)
+        if constant and p_row.count(1.0) == len(p_row) == d_row.count(0.0):
+            row: list = []
+            for s, length in runs:
+                row += [a / s] * length
+        else:
+            a_row = repeat(a) if isinstance(a, (int, float)) else a
+            # one run needs no chain, which costs a step per token
+            s_row = repeat(runs[0][0]) if len(runs) == 1 else chain(*starmap(repeat, runs))
+            row = [
+                (p_t * a_t - beta * d_t) / s_t
+                for p_t, a_t, d_t, s_t in zip(p_row, a_row, d_row, s_row)
+            ]
+        term_rows.append(tuple(row))
     total_tokens = group.total_tokens
     try:
         total = math.fsum(chain.from_iterable(term_rows))
@@ -164,7 +177,7 @@ def _token_sum(
     return ObjectiveReport(
         objective=objective,
         value=total / total_tokens if total_tokens else 0.0,
-        per_token_terms=term_rows,
+        per_token_terms=tuple(term_rows),
         total_tokens=total_tokens,
     )
 
@@ -175,9 +188,8 @@ def objective_grpo(
     terms: TokenTerms,
 ) -> ObjectiveReport:
     """Token-mean of P * a_i - beta * D with outcome advantages a_i."""
-    return _token_sum(
-        GRPO, group, [repeat(a) for a in advantages], [repeat(1)] * group.k, terms
-    )
+    runs = [((1, len(t)),) for t in group.trajectories]
+    return _token_sum(GRPO, group, advantages, runs, terms)
 
 
 def objective_prm(
@@ -191,7 +203,8 @@ def objective_prm(
     advantage by the owning set's mean advantage redistributes the same
     total within every shared span.
     """
-    return _token_sum(PRM, group, step_advantage_rows, [repeat(1)] * group.k, terms)
+    runs = [((1, len(t)),) for t in group.trajectories]
+    return _token_sum(PRM, group, step_advantage_rows, runs, terms)
 
 
 def objective_lambda(
@@ -207,7 +220,6 @@ def objective_lambda(
     |owning set|: process sets contribute equally at every position instead
     of in proportion to their size.
     """
-    advantage_rows = [repeat(a) for a in advantages]
-    sizes = [node.size for node in assignment.nodes]
-    divisor_rows = [map(sizes.__getitem__, row) for row in assignment.owner_ids]
-    return _token_sum(LAMBDA, group, advantage_rows, divisor_rows, terms)
+    runs = [(node.size, node.span_len) for node in assignment.nodes]
+    divisor_runs = [[runs[n] for n in path] for path in assignment.paths]
+    return _token_sum(LAMBDA, group, advantages, divisor_runs, terms)

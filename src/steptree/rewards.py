@@ -45,5 +45,4 @@ def step_advantages(
     shared spans receive the normalized Monte-Carlo mean reward of their
     owning set instead.
     """
-    node_adv = node_advantages(tree, group, stats)
-    return tuple([tuple([node_adv[n] for n in row]) for row in assignment.owner_ids])
+    return tuple(map(tuple, assignment.rows(node_advantages(tree, group, stats))))

@@ -62,18 +62,32 @@ class ProcessTree:
 
 @dataclass(eq=False)
 class TokenAssignment:
-    """The owning node id of every token of every trajectory.
+    """The nodes that own every trajectory's tokens, as paths of spans.
 
-    ``owner_ids[i][t]`` indexes ``nodes``, the tree's nodes in id order.
-    What a token shares with its process set (the set's size, step
-    advantage and weight) is read from that node.
+    ``paths[i]`` lists the ids (indexes into ``nodes``, the tree's nodes in id
+    order) of the nodes whose non-empty spans tile completion i, root to leaf.
+    A token's set size, step advantage and weight are read from its node.
     """
 
     nodes: tuple[ProcessNode, ...]
-    owner_ids: tuple[tuple[int, ...], ...]
+    paths: tuple[tuple[int, ...], ...]
 
     def owner(self, i: int, t: int) -> ProcessNode:
-        return self.nodes[self.owner_ids[i][t]]
+        """The node whose span holds token t of completion i."""
+        for n in self.paths[i]:
+            node = self.nodes[n]
+            if node.span_start <= t < node.span_end:
+                return node
+        raise IndexError(f"token {t} is outside completion {i}")
+
+    def rows(self, node_values: Sequence) -> list[list]:
+        """``node_values`` (indexed by node id) expanded to per-token rows."""
+        runs = [[v] * node.span_len for v, node in zip(node_values, self.nodes)]
+        rows: list[list] = [[] for _ in self.paths]
+        for row, path in zip(rows, self.paths):
+            for n in path:
+                row += runs[n]
+        return rows
 
 
 def build_process_tree(group: Group) -> ProcessTree:
@@ -150,23 +164,25 @@ def build_process_tree(group: Group) -> ProcessTree:
 
 
 def assign_tokens(tree: ProcessTree) -> TokenAssignment:
-    """Map every (trajectory, position) to its unique owning node id.
+    """The path of owning node ids of every trajectory.
 
-    The spans along each root-to-leaf path are contiguous and disjoint, so
-    filling each node's span slice, node by node, yields a total assignment.
+    The nodes come in pre-order, so appending each node to its members'
+    paths lists every path root to leaf. Each path's spans must tile its
+    trajectory, ``[0, leaf.span_end)``.
     """
-    # leaf.span_end equals the trajectory length, so each row is sized to
-    # its trajectory
-    rows = [[-1] * leaf.span_end for leaf in tree.leaves]
-    for node in tree.nodes:
-        span = slice(node.span_start, node.span_end)
-        owned = [node.node_id] * node.span_len
-        for i in node.members:
-            rows[i][span] = owned
-    for i, row in enumerate(rows):
-        if -1 in row:
-            raise RuntimeError(f"trajectory {i} has tokens outside every span")
-    return TokenAssignment(nodes=tree.nodes, owner_ids=tuple([tuple(row) for row in rows]))
+    nodes = tree.nodes
+    paths: list[list[int]] = [[] for _ in tree.leaves]
+    for node in nodes:
+        if node.span_end > node.span_start:
+            for i in node.members:
+                paths[i].append(node.node_id)
+    for i, (path, leaf) in enumerate(zip(paths, tree.leaves)):
+        end = 0  # -1 from the first span that does not start where the last ended
+        for n in path:
+            end = nodes[n].span_end if nodes[n].span_start == end else -1
+        if end != leaf.span_end:
+            raise RuntimeError(f"the spans of trajectory {i} do not tile its tokens")
+    return TokenAssignment(nodes=nodes, paths=tuple([tuple(path) for path in paths]))
 
 
 def is_trivial(tree: ProcessTree) -> bool:

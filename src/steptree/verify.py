@@ -470,8 +470,7 @@ def verify_proof_identities(derived: GroupDerivation) -> VerificationEntry:
         [node_pairs[n.node_id] for n in partition] for partition in _span_partitions(tree)
     ]
     # each token's owning set size, counted from the members
-    sizes = [len(n.members) for n in tree.nodes]
-    size_rows = [[sizes[n] for n in row] for row in assignment.owner_ids]
+    size_rows = assignment.rows([len(n.members) for n in tree.nodes])
     total = group.total_tokens
     gaps = []
     for config, terms, grpo_report in zip(derived.configs, derived.terms, derived.grpo):

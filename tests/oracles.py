@@ -147,6 +147,28 @@ def token_sum_lambda(seqs, rewards, p=None, d=None, beta=0.0, std_mode="sample")
     return acc / total if total else 0.0
 
 
+def token_sum_terms(seqs, advantages, p, d, beta, set_size=False):
+    """Objective value and per-token terms ``(p * a - beta * d) / s``.
+
+    The evaluator's expression applied token by token: ``a`` is the
+    completion's advantage and ``s`` is 1, or the size of the set owning the
+    token when ``set_size`` is set. The value is the ``math.fsum`` of the
+    terms over the token count.
+    """
+    spans = enumerate_process_sets(seqs) if set_size else {}
+    rows = tuple(
+        tuple(
+            (p[i][t] * advantages[i] - beta * d[i][t])
+            / (len(owner_of(spans, i, t)) if set_size else 1)
+            for t in range(len(seq))
+        )
+        for i, seq in enumerate(seqs)
+    )
+    total = sum(len(seq) for seq in seqs)
+    value = math.fsum(term for row in rows for term in row)
+    return (value / total if total else 0.0), rows
+
+
 def node_sum_lambda(seqs, rewards, p=None, d=None, beta=0.0, std_mode="sample"):
     """Set-size-corrected objective summed as one term per (set, position)."""
     p = p if p is not None else unit_rows(seqs)

@@ -266,7 +266,7 @@ class TestVerify:
             rows = [list(row) for row in report.per_token_terms]
             i, t = next(
                 (i, t)
-                for i, row in enumerate(assignment.owner_ids)
+                for i, row in enumerate(rows)
                 for t in range(len(row))
                 if assignment.owner(i, t).size == 1
             )
@@ -286,7 +286,7 @@ class TestVerify:
             rows = [list(row) for row in original(tree, assignment, group, stats)]
             i, t = next(
                 (i, t)
-                for i, row in enumerate(assignment.owner_ids)
+                for i, row in enumerate(rows)
                 for t in range(len(row))
                 if assignment.owner(i, t).size > 1
             )

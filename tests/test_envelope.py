@@ -1,8 +1,9 @@
 """Extreme group shapes through ``analyze``, ``weights`` and ``verify``.
 
 Each shape is one group in a dump: a chain deeper than the recursion limit,
-thousands of short completions, and a few completions of 10^5 tokens that
-carry all three log-prob arrays. ``verify`` checks each against the
+thousands of short completions (distinct, all identical, or all empty), and
+a few completions of 10^5 tokens that carry all three log-prob arrays, with
+mixed or constant rewards. ``verify`` checks each against the
 node-major and position-major oracles of ``steptree.verify`` (the
 brute-force oracles of ``tests/oracles.py`` are far too slow at these
 sizes), and cheap structural invariants are checked on the built tree.
@@ -11,7 +12,6 @@ sizes), and cheap structural invariants are checked on the built tree.
 import json
 import random
 from bisect import bisect_left
-from itertools import groupby
 
 import pytest
 
@@ -37,7 +37,19 @@ def wide_group():
     return group_from_sequences("wide", seqs, [float(rng.random() < 0.5) for _ in seqs])
 
 
-def long_group():
+def identical_group():
+    # k = 4000 copies of one 32-token completion: one shared span, and 4000
+    # leaves with empty spans
+    seq = [j % 4 for j in range(32)]
+    return group_from_sequences("identical", [seq] * 4000, [float(j % 2) for j in range(4000)])
+
+
+def empty_group():
+    # k = 4000 zero-length completions: no token at all
+    return group_from_sequences("empty", [[]] * 4000, [float(j % 3) for j in range(4000)])
+
+
+def long_group(name="long", rewards=(1.0, 0.0, 0.5, 0.0)):
     # four completions of 10^5 tokens: two share 60000 tokens, two are
     # duplicates, and all four share the first 20000
     rng = random.Random(100_000)
@@ -58,12 +70,24 @@ def long_group():
             logp_old=[-0.04 * (1 + (2 * tok + t) % 5) for t, tok in enumerate(seq)],
             logp_ref=[-0.06 * (1 + (tok + 3 * t) % 6) for t, tok in enumerate(seq)],
         )
-        for seq, reward in zip(seqs, [1.0, 0.0, 0.5, 0.0])
+        for seq, reward in zip(seqs, rewards)
     ]
-    return Group("long", trajectories)
+    return Group(name, trajectories)
 
 
-SHAPES = {"chain": chain_group, "wide": wide_group, "long": long_group}
+def long_constant_group():
+    # constant rewards: every advantage is zero
+    return long_group("long-constant", (0.5, 0.5, 0.5, 0.5))
+
+
+SHAPES = {
+    "chain": chain_group,
+    "wide": wide_group,
+    "identical": identical_group,
+    "empty": empty_group,
+    "long": long_group,
+    "long-constant": long_constant_group,
+}
 
 
 def check_structure(group):
@@ -86,11 +110,15 @@ def check_structure(group):
                 break
             node = parent[node.node_id]
         assert end == 0
-    for i, row in enumerate(assign_tokens(tree).owner_ids):
-        assert len(row) == len(group.trajectories[i])
-        for node_id, _ in groupby(row):
-            members = tree.nodes[node_id].members
-            assert members[bisect_left(members, i)] == i
+    for i, path in enumerate(assign_tokens(tree).paths):
+        # contiguous non-empty spans from 0 to the completion's length
+        end = 0
+        for node_id in path:
+            node = tree.nodes[node_id]
+            assert node.span_start == end < node.span_end
+            assert node.members[bisect_left(node.members, i)] == i
+            end = node.span_end
+        assert end == len(group.trajectories[i])
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -20,10 +20,24 @@ from steptree import (
     step_advantages,
     token_terms,
 )
-from steptree.objectives import kl_terms, ratio_terms
-from steptree.verify import GenParams, generate_random_group
+from steptree.io import effective_config
+from steptree.objectives import TokenTerms, kl_terms, ratio_terms
+from steptree.verify import (
+    LOGP_ABSENT,
+    LOGP_RANDOM_CONSISTENT,
+    GenParams,
+    degenerate_groups,
+    generate_random_group,
+    verification_configs,
+)
 
-from oracles import node_sum_lambda, node_sum_prm, token_sum_grpo, token_sum_lambda
+from oracles import (
+    node_sum_lambda,
+    node_sum_prm,
+    token_sum_grpo,
+    token_sum_lambda,
+    token_sum_terms,
+)
 
 # oracle-derived goldens for the overlap fixture with unit ratios, beta=0
 OVERLAP_L_GRPO = -0.13023748316766112
@@ -218,8 +232,8 @@ class TestObjectiveLambda:
 
     def test_duplicate_pair_down_weighted(self, duplicate_group):
         grpo, _, lam, assignment = full_eval(duplicate_group)
-        for i, row in enumerate(assignment.owner_ids):
-            for t in range(len(row)):
+        for i, traj in enumerate(duplicate_group.trajectories):
+            for t in range(len(traj)):
                 size = assignment.owner(i, t).size
                 assert lam.per_token_terms[i][t] == grpo.per_token_terms[i][t] / size
         # the duplicated span really is halved
@@ -229,8 +243,8 @@ class TestObjectiveLambda:
     def test_scaling_law_per_token(self, overlap_group_logps):
         config = ObjectiveConfig(beta=0.04, assume_unit_ratio=False)
         grpo, _, lam, assignment = full_eval(overlap_group_logps, config)
-        for i, row in enumerate(assignment.owner_ids):
-            for t in range(len(row)):
+        for i, traj in enumerate(overlap_group_logps.trajectories):
+            for t in range(len(traj)):
                 size = assignment.owner(i, t).size
                 # division identity holds bitwise by construction
                 assert lam.per_token_terms[i][t] == grpo.per_token_terms[i][t] / size
@@ -238,6 +252,100 @@ class TestObjectiveLambda:
                 assert size * lam.per_token_terms[i][t] == pytest.approx(
                     grpo.per_token_terms[i][t], rel=1e-12, abs=1e-300
                 )
+
+
+def signed_zero_group():
+    # the mean reward is 0.0, so both -0.0 rewards give -0.0 advantages
+    return group_from_sequences(
+        "signed-zero", [(1, 2), (1, 3), (2,), (1, 2, 4)], [-0.0, -0.0, 1.0, -1.0]
+    )
+
+
+def bit_identity_groups():
+    """Generated groups at fork bias 0, 0.5 and 1 with and without logps,
+    the built-in degenerate groups (empty completions, duplicates, constant
+    rewards) and the signed-zero group."""
+    groups = [
+        generate_random_group(
+            GenParams(
+                seed=41, k_range=(2, 8), length_range=(0, 10), fork_bias=fork_bias,
+                logp_mode=logp_mode,
+            ),
+            index,
+        )
+        for fork_bias in (0.0, 0.5, 1.0)
+        for logp_mode in (LOGP_ABSENT, LOGP_RANDOM_CONSISTENT)
+        for index in range(25)
+    ]
+    return groups + degenerate_groups(True) + degenerate_groups(False) + [signed_zero_group()]
+
+
+def bits(rows):
+    return [[float.hex(term) for term in row] for row in rows]
+
+
+def assert_per_token_bits(group, advantages, terms):
+    """GRPO and lambda value and terms equal the per-token expression's bits."""
+    seqs = [t.tokens for t in group.trajectories]
+    assignment = assign_tokens(build_process_tree(group))
+    reports = (
+        (objective_grpo(group, advantages, terms), False),
+        (objective_lambda(group, assignment, advantages, terms), True),
+    )
+    for report, set_size in reports:
+        value, rows = token_sum_terms(seqs, advantages, *terms, set_size=set_size)
+        assert float.hex(report.value) == float.hex(value), group.query_id
+        assert bits(report.per_token_terms) == bits(rows), group.query_id
+
+
+class TestNodeConstantRows:
+    """Rows summed once per span keep the per-token expression's bits."""
+
+    @pytest.mark.parametrize(
+        "config",
+        verification_configs(),
+        ids=lambda c: f"beta={c.beta},unit={c.assume_unit_ratio}",
+    )
+    def test_matches_the_per_token_expression(self, config):
+        for group in bit_identity_groups():
+            stats = reward_stats(group)
+            config_used = effective_config(group, config.beta, config.assume_unit_ratio)
+            assert_per_token_bits(
+                group, outcome_advantages(group, stats), token_terms(group, config_used)
+            )
+
+    def test_signed_zero_advantages_occur(self):
+        group = signed_zero_group()
+        advantages = outcome_advantages(group, reward_stats(group))
+        assert [math.copysign(1.0, a) for a in advantages[:2]] == [-1.0, -1.0]
+        assert advantages[:2] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("fill", [0.0, -0.0, -1.0, "mixed"])
+    def test_kl_signs_at_beta_zero(self, fill):
+        # 0.0 * d is -0.0 for a d of -0.0 or below, and -0.0 - -0.0 is +0.0:
+        # a -0.0 advantage must not reach the span sum with such rows
+        group = signed_zero_group()
+        advantages = outcome_advantages(group, reward_stats(group))
+        ones = [[1.0] * len(t) for t in group.trajectories]
+        if fill == "mixed":
+            kl = [[(-0.0, 0.0)[t % 2] for t in range(len(traj))] for traj in group.trajectories]
+        else:
+            kl = [[fill] * len(t) for t in group.trajectories]
+        assert_per_token_bits(group, advantages, TokenTerms(ones, kl, 0.0))
+
+    @pytest.mark.parametrize("fill", [math.inf, math.nan])
+    def test_non_finite_kl_at_beta_zero_is_an_error(self, overlap_group, fill):
+        # 0.0 * inf is nan, so these rows are not node-constant
+        advantages = outcome_advantages(overlap_group, reward_stats(overlap_group))
+        ones = [[1.0] * len(t) for t in overlap_group.trajectories]
+        kl = [[0.0] * len(t) for t in overlap_group.trajectories]
+        kl[0][1] = fill
+        terms = TokenTerms(ones, kl, 0.0)
+        assignment = assign_tokens(build_process_tree(overlap_group))
+        with pytest.raises(ValueError, match="objective term overflows"):
+            objective_grpo(overlap_group, advantages, terms)
+        with pytest.raises(ValueError, match="objective term overflows"):
+            objective_lambda(overlap_group, assignment, advantages, terms)
 
 
 class TestLambdaWeights:

@@ -97,8 +97,8 @@ class TestStepAdvantages:
         stats = reward_stats(overlap_group)
         steps = step_advantages(tree, assignment, overlap_group, stats)
         adv = outcome_advantages(overlap_group, stats)
-        for i, row in enumerate(assignment.owner_ids):
-            for t in range(len(row)):
+        for i, traj in enumerate(overlap_group.trajectories):
+            for t in range(len(traj)):
                 if assignment.owner(i, t).size == 1:
                     assert steps[i][t] == adv[i]
 

@@ -149,7 +149,7 @@ class TestRollout:
         tree = build_process_tree(group)
         assert tree.root.span_end == 4
         assignment = assign_tokens(tree)
-        assert all(tree.nodes[n].size == 5 for row in assignment.owner_ids for n in row)
+        assert all(tree.nodes[n].size == 5 for path in assignment.paths for n in path)
 
 
 class TestGradients:

@@ -182,10 +182,11 @@ class TestRepresentation:
             assert type(tree.leaves) is tuple
             assert [leaf.members for leaf in tree.leaves] == [(i,) for i in range(group.k)]
 
-    def test_assignment_holds_only_owner_ids(self, overlap_group):
+    def test_assignment_holds_only_paths(self, overlap_group):
         assignment = assign_tokens(build_process_tree(overlap_group))
-        assert [f.name for f in dataclasses.fields(assignment)] == ["nodes", "owner_ids"]
+        assert [f.name for f in dataclasses.fields(assignment)] == ["nodes", "paths"]
         assert not hasattr(assignment, "sizes")
+        assert not hasattr(assignment, "owner_ids")
 
 
 class TestAssignment:
@@ -201,17 +202,35 @@ class TestAssignment:
         seqs = [t.tokens for t in overlap_group.trajectories]
         spans = enumerate_process_sets(seqs)
         for i, seq in enumerate(seqs):
-            assert len(assignment.owner_ids[i]) == len(seq)
+            for t in (-1, len(seq)):
+                with pytest.raises(IndexError):
+                    assignment.owner(i, t)
             for t in range(len(seq)):
                 node = assignment.owner(i, t)
                 assert i in node.members
                 assert node.span_start <= t < node.span_end
                 assert node.members == owner_of(spans, i, t)
 
+    @pytest.mark.parametrize("fork_bias", [0.0, 0.5, 1.0])
+    def test_paths_list_the_oracle_owners_in_order(self, fork_bias):
+        # empty completions, duplicates and exact prefixes included
+        params = GenParams(seed=37, k_range=(2, 8), length_range=(0, 8), fork_bias=fork_bias)
+        for index in range(30):
+            group = generate_random_group(params, index)
+            tree = build_process_tree(group)
+            paths = assign_tokens(tree).paths
+            seqs = [t.tokens for t in group.trajectories]
+            spans = enumerate_process_sets(seqs)
+            for i, seq in enumerate(seqs):
+                owners = [owner_of(spans, i, t) for t in range(len(seq))]
+                assert [tree.nodes[n].members for n in paths[i]] == [
+                    members for members, _ in itertools.groupby(owners)
+                ]
+
     def test_trivial_tree_owners_are_singletons(self, trivial_group):
         assignment = assign_tokens(build_process_tree(trivial_group))
-        for i, row in enumerate(assignment.owner_ids):
-            for t in range(len(row)):
+        for i, traj in enumerate(trivial_group.trajectories):
+            for t in range(len(traj)):
                 assert assignment.owner(i, t).members == (i,)
 
 

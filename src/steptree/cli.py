@@ -217,8 +217,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
             with _open_out(args.output) as out:
                 out.writelines(parts)
             return 0
-    print(f"no group with query_id {args.group_id!r}", file=sys.stderr)
-    return 1
+    raise ValueError(f"no group with query_id {args.group_id!r}")
 
 
 def _print_report(name: str, report: Optional[VerificationReport]) -> None:
@@ -439,7 +438,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     merged = MetricsSummary()
     for path in args.summaries:
         with open(path, "r", encoding="utf-8") as handle:
-            merged = merged.merge(MetricsSummary.from_dict(json.load(handle)))
+            try:
+                merged = merged.merge(MetricsSummary.from_dict(json.load(handle)))
+            except RecursionError as exc:  # JSON nested deeper than the decoder goes
+                raise ValueError(f"{path}: {exc}") from None
     with _open_out(args.output) as out:
         json.dump(merged.to_mergeable_dict(), out, indent=2)
         out.write("\n")

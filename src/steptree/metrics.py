@@ -217,15 +217,16 @@ class MetricsSummary(StepSeriesEntry):
     def from_dict(cls, data: dict) -> "MetricsSummary":
         """Rebuild a summary from ``to_mergeable_dict`` output.
 
-        Raises ValueError naming the first missing or wrongly typed field.
+        Raises ValueError naming the first field that is missing, wrongly
+        typed, or holds a value that ``analyze`` cannot produce.
         """
         if not isinstance(data, dict):
             raise ValueError("summary must be a JSON object")
         try:
             summary = cls(
                 **_entry(data, _COUNT_FIELDS),
-                depth_hist=_hist(data, "depth_hist"),
-                proportion_hist=_hist(data, "proportion_hist"),
+                depth_hist=_hist(data, "depth_hist", math.inf),
+                proportion_hist=_hist(data, "proportion_hist", P_BUCKETS),
             )
             per_step = _typed(data.get("per_step_raw", {}), dict, "per_step_raw")
             for step, entry in per_step.items():
@@ -235,6 +236,16 @@ class MetricsSummary(StepSeriesEntry):
                 )
         except KeyError as exc:
             raise ValueError(f"summary is missing field {exc.args[0]!r}") from None
+        n = summary.trajectory_count
+        _require(summary.zero_length_count <= n, "zero_length_count", "exceeds trajectory_count")
+        for name in ("depth_hist", "proportion_hist"):
+            total = sum(getattr(summary, name).values())
+            _require(total == n, name, f"totals {total}, not trajectory_count")
+        depths = sum(depth * count for depth, count in summary.depth_hist.items())
+        _require(summary.depth_sum == depths, "depth_sum", f"is not the depth_hist total {depths}")
+        for name in (*_STEP_COUNT_FIELDS, "proportion_sum"):
+            steps = sum(getattr(entry, name) for entry in summary.per_step.values())
+            _require(steps <= getattr(summary, name), "per_step_raw", f"sums exceed {name}")
         return summary
 
     def to_mergeable_dict(self) -> dict:
@@ -256,11 +267,22 @@ _STEP_COUNT_FIELDS = ("group_count", "trajectory_count", "trivial_count", "depth
 _COUNT_FIELDS = (*_STEP_COUNT_FIELDS, "zero_length_count")
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to a bounded length, for an error message."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _require(ok: bool, label: str, problem: str) -> None:
+    if not ok:
+        raise ValueError(f"summary field {_shown(label)} {problem}")
+
+
 def _typed(value, kind: type, label: str):
-    """``value`` if it is a ``kind`` and not a bool, else a ValueError naming ``label``."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = {int: "an integer", str: "a fraction string"}.get(kind, "an object")
-        raise ValueError(f"summary field {label!r} must be {what}, got {value!r}")
+    """``value`` if it is a ``kind`` (not a bool; an int not negative), else an error."""
+    what = {int: "a non-negative integer", str: "a fraction string"}.get(kind, "an object")
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    _require(ok and (kind is not int or value >= 0), label, f"must be {what}, got {_shown(value)}")
     return value
 
 
@@ -268,7 +290,7 @@ def _int_key(key: str, label: str) -> int:
     try:
         return int(key)
     except ValueError:
-        raise ValueError(f"summary field {label!r} has a non-integer key {key!r}") from None
+        raise ValueError(f"summary field {label!r} has a non-integer key {_shown(key)}") from None
 
 
 def _entry(data: dict, counts: tuple[str, ...], prefix: str = "") -> dict:
@@ -279,13 +301,19 @@ def _entry(data: dict, counts: tuple[str, ...], prefix: str = "") -> dict:
     try:
         fields["proportion_sum"] = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"summary field {label!r} is not a fraction: {text!r}") from None
+        _require(False, label, f"is not a fraction: {_shown(text)}")
+    trivial_ok = fields["trivial_count"] <= fields["group_count"]
+    _require(trivial_ok, prefix + "trivial_count", "exceeds group_count")
+    in_range = 0 <= fields["proportion_sum"] <= fields["trajectory_count"]
+    _require(in_range, label, "is outside [0, trajectory_count]")
     return fields
 
 
-def _hist(data: dict, name: str) -> Counter[int]:
+def _hist(data: dict, name: str, limit: float) -> Counter[int]:
     hist = _typed(data[name], dict, name)
-    return Counter({_int_key(k, name): _typed(v, int, f"{name}.{k}") for k, v in hist.items()})
+    counts = Counter({_int_key(k, name): _typed(v, int, f"{name}.{k}") for k, v in hist.items()})
+    _require(all(0 <= key < limit for key in counts), name, f"has a key outside [0, {limit})")
+    return counts
 
 
 def _hist_quantile(hist: Counter[int], q: float, n: int) -> Optional[int]:

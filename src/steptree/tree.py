@@ -57,7 +57,6 @@ class ProcessTree:
     root: ProcessNode
     nodes: tuple[ProcessNode, ...]
     leaves: tuple[ProcessNode, ...]
-    max_len: int
 
 
 @dataclass(eq=False)
@@ -74,7 +73,7 @@ class TokenAssignment:
 
     def owner(self, i: int, t: int) -> ProcessNode:
         """The node whose span holds token t of completion i."""
-        for n in self.paths[i]:
+        for n in self.paths[i] if i >= 0 else ():
             node = self.nodes[n]
             if node.span_start <= t < node.span_end:
                 return node
@@ -155,12 +154,7 @@ def build_process_tree(group: Group) -> ProcessTree:
         # positional: keyword arguments make small-tree builds ~10% slower
         built[node_id] = ProcessNode(node_id, tuple(members), start, end, children)
     nodes = tuple(built)
-    return ProcessTree(
-        root=nodes[0],
-        nodes=nodes,
-        leaves=tuple([nodes[n] for n in leaf_ids]),
-        max_len=group.max_len,
-    )
+    return ProcessTree(root=nodes[0], nodes=nodes, leaves=tuple([nodes[n] for n in leaf_ids]))
 
 
 def assign_tokens(tree: ProcessTree) -> TokenAssignment:

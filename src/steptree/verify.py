@@ -5,8 +5,8 @@ The headline check compares two deliberately independent evaluations of the
 same group: a trajectory-major token sum using outcome advantages (which
 never looks at the tree) against a tree-node enumeration using step
 advantages (which never looks at outcome advantages). The supporting
-identities cover the per-node term sums, the position-partition regrouping
-of each objective, and the per-token set-size scaling law.
+identities cover the per-node term sums, the node-major regrouping of each
+objective, and the per-token set-size scaling law.
 
 Gaps above tolerance are recorded as failures rather than raised, so a full
 suite always reports the worst case it saw.
@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     DEFAULT_EPSILON,
@@ -34,6 +34,9 @@ from .core import (
 )
 from .objectives import (
     DEFAULT_BETA,
+    GRPO,
+    LAMBDA,
+    PRM,
     ObjectiveConfig,
     ObjectiveReport,
     TokenTerms,
@@ -43,13 +46,7 @@ from .objectives import (
     token_terms,
 )
 from .rewards import node_advantages, step_advantages
-from .tree import (
-    ProcessNode,
-    ProcessTree,
-    assign_tokens,
-    build_process_tree,
-    is_trivial,
-)
+from .tree import ProcessTree, assign_tokens, build_process_tree, is_trivial
 
 BERNOULLI = "bernoulli"
 UNIFORM = "uniform"
@@ -230,10 +227,22 @@ def _rel_gap(a: float, b: float, scale: float = 0.0) -> float:
     return abs(a - b) / max(abs(a), abs(b), scale, _REL_FLOOR)
 
 
-def _term_scale(per_token_terms: Sequence[Sequence[float]], total: int) -> float:
+def _fsum(derived: GroupDerivation, values: Iterable[float]) -> float:
+    """``math.fsum`` of oracle terms; a sum beyond the float range is an error."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"group {derived.group.query_id!r}: verification sum overflows")
+    return total
+
+
+def _term_scale(derived: GroupDerivation, per_token_terms: Sequence[Sequence[float]]) -> float:
+    total = derived.group.total_tokens
     if not total:
         return 0.0
-    return math.fsum(map(abs, chain.from_iterable(per_token_terms))) / total
+    return _fsum(derived, map(abs, chain.from_iterable(per_token_terms))) / total
 
 
 @dataclass(frozen=True)
@@ -345,24 +354,26 @@ def _worst(derived: GroupDerivation, gaps: Sequence[tuple]) -> VerificationEntry
     )
 
 
-def _prm_value_by_nodes(derived: GroupDerivation, terms: TokenTerms) -> float:
-    """Step-advantage objective summed node by node over the tree.
+def _node_major_value(derived: GroupDerivation, terms: TokenTerms, kind: str) -> float:
+    """Objective summed node by node over the tree, never by token row.
 
-    Independent evaluation order for the equivalence check: iterates
-    process sets and their spans, never touching outcome advantages.
-    ``terms`` holds the ratio and KL rows of the group.
+    Each node contributes ``P * a - beta * D`` at every position of its span,
+    member by member. ``kind`` selects ``a``: the member's outcome advantage
+    for GRPO, the node's step advantage for PRM (outcome advantages are never
+    read), and for LAMBDA the step advantage of the first member only, the
+    grouped set-size-corrected form with one term per process set. ``terms``
+    holds the ratio and KL rows of the group.
     """
     p, d, beta = terms
-    values = []
+    values: list[float] = []
     for node, ahat in zip(derived.tree.nodes, derived.node_advantages):
-        members = node.members
-        values += [
-            p[i][t] * ahat - beta * d[i][t]
-            for t in range(node.span_start, node.span_end)
-            for i in members
-        ]
+        span = range(node.span_start, node.span_end)
+        for i in node.members[:1] if kind == LAMBDA else node.members:
+            a = derived.advantages[i] if kind == GRPO else ahat
+            p_i, d_i = p[i], d[i]
+            values += [p_i[t] * a - beta * d_i[t] for t in span]
     total = derived.group.total_tokens
-    return math.fsum(values) / total if total else 0.0
+    return _fsum(derived, values) / total if total else 0.0
 
 
 def verify_equivalence(derived: GroupDerivation) -> VerificationEntry:
@@ -376,67 +387,15 @@ def verify_equivalence(derived: GroupDerivation) -> VerificationEntry:
     worst entry is returned. Gaps are returned, never raised; the tolerance
     takes effect when the entry is recorded into a VerificationReport.
     """
-    total = derived.group.total_tokens
     gaps = []
     for config, terms, grpo_report in zip(derived.configs, derived.terms, derived.grpo):
         value_grpo = grpo_report.value
-        value_prm = _prm_value_by_nodes(derived, terms)
-        scale = _term_scale(grpo_report.per_token_terms, total)
+        value_prm = _node_major_value(derived, terms, PRM)
+        scale = _term_scale(derived, grpo_report.per_token_terms)
         rel_gap = _rel_gap(value_grpo, value_prm, scale)
         abs_gap = abs(value_grpo - value_prm)
         gaps.append((value_grpo, value_prm, abs_gap, rel_gap, "equivalence", config))
     return _worst(derived, gaps)
-
-
-def _partition_value(
-    group: Group,
-    partitions: Sequence[Sequence[tuple[tuple[int, ...], float]]],
-    adv: Sequence[float],
-    terms: TokenTerms,
-    kind: str,
-) -> float:
-    """Objective evaluated position-major over the span partitions.
-
-    ``kind`` selects the per-term form: outcome advantages, step
-    advantages, or the grouped set-size-corrected form where each process
-    set contributes one term per position. ``partitions[t]`` holds the
-    (sorted members, step advantage) pair of every node whose span
-    contains position t, and ``terms`` the ratio and KL rows of the group.
-    """
-    p, d, beta = terms
-    values = []
-    for t, partition in enumerate(partitions):
-        if kind == "grpo":
-            values += [
-                p[i][t] * adv[i] - beta * d[i][t]
-                for members, _ in partition
-                for i in members
-            ]
-        elif kind == "prm":
-            values += [
-                p[i][t] * ahat - beta * d[i][t]
-                for members, ahat in partition
-                for i in members
-            ]
-        else:  # grouped set-size-corrected form: one term per process set
-            values += [
-                p[members[0]][t] * ahat - beta * d[members[0]][t]
-                for members, ahat in partition
-            ]
-    total = group.total_tokens
-    return math.fsum(values) / total if total else 0.0
-
-
-def _span_partitions(tree: ProcessTree) -> list[list[ProcessNode]]:
-    """Entry t lists the nodes whose span contains position t, in node-id order.
-
-    One sweep over the node spans fills every entry.
-    """
-    partitions: list[list[ProcessNode]] = [[] for _ in range(tree.max_len)]
-    for node in tree.nodes:
-        for t in range(node.span_start, node.span_end):
-            partitions[t].append(node)
-    return partitions
 
 
 def verify_proof_identities(derived: GroupDerivation) -> VerificationEntry:
@@ -445,9 +404,11 @@ def verify_proof_identities(derived: GroupDerivation) -> VerificationEntry:
     1. Per-node term sums: for every node and every position in its span,
        the summed step-advantage terms of its members equal
        |members| * (P_rep * A_node - beta * D_rep). A single-member node
-       is skipped: both sides are then the same term.
-    2. Partition regrouping: position-major evaluation over the span
-       partitions matches the trajectory-major token sum, for all three
+       is skipped: both sides are then the same term. So is a span where
+       every member's P and D slices equal the representative's: ``fsum``
+       of n equal terms and ``n * term`` both round n * term once.
+    2. Node-major regrouping: each objective summed node by node over the
+       spans matches its trajectory-major token sum, for all three
        objectives.
     3. Scaling law: each token's outcome-advantage term equals its owning
        set size times its set-size-corrected term.
@@ -457,47 +418,44 @@ def verify_proof_identities(derived: GroupDerivation) -> VerificationEntry:
     the check that gap came from.
     """
     group, tree = derived.group, derived.tree
-    ahat_of = derived.node_advantages
     assignment = assign_tokens(tree)
     steps = step_advantages(tree, assignment, group, derived.stats)
     shared = [
-        (n.members, ahat_of[n.node_id], range(n.span_start, n.span_end))
-        for n in tree.nodes
+        (n.members, ahat, n.span_start, n.span_end)
+        for n, ahat in zip(tree.nodes, derived.node_advantages)
         if n.span_len and len(n.members) > 1
-    ]
-    node_pairs = [(n.members, ahat) for n, ahat in zip(tree.nodes, ahat_of)]
-    partitions = [
-        [node_pairs[n.node_id] for n in partition] for partition in _span_partitions(tree)
     ]
     # each token's owning set size, counted from the members
     size_rows = assignment.rows([len(n.members) for n in tree.nodes])
-    total = group.total_tokens
     gaps = []
     for config, terms, grpo_report in zip(derived.configs, derived.terms, derived.grpo):
         p, d, beta = terms
 
         # 1. per-node sums; where both sides are equal the gap is 0
         node_gap = 0.0
-        for members, ahat, span in shared:
+        for members, ahat, s, e in shared:
             rep = members[0]
-            for t in span:
-                lhs = math.fsum([p[i][t] * ahat - beta * d[i][t] for i in members])
+            p_rep, d_rep = p[rep][s:e], d[rep][s:e]
+            if all(p[i][s:e] == p_rep and d[i][s:e] == d_rep for i in members[1:]):
+                continue
+            for t in range(s, e):
+                lhs = _fsum(derived, [p[i][t] * ahat - beta * d[i][t] for i in members])
                 rhs = len(members) * (p[rep][t] * ahat - beta * d[rep][t])
                 if lhs != rhs:
-                    scale = math.fsum(
-                        [abs(p[i][t] * ahat) + beta * d[i][t] for i in members]
+                    scale = _fsum(
+                        derived, [abs(p[i][t] * ahat) + beta * d[i][t] for i in members]
                     )
                     node_gap = max(node_gap, _rel_gap(lhs, rhs, scale))
         found = [("node-sum", node_gap)]
 
-        # 2. partition regrouping of each objective
+        # 2. node-major regrouping of each objective
         prm_report = objective_prm(group, steps, terms)
         lambda_report = objective_lambda(group, assignment, derived.advantages, terms)
         reports = (grpo_report, prm_report, lambda_report)
-        for kind, report in zip(("grpo", "prm", "lambda"), reports):
-            position_major = _partition_value(group, partitions, derived.advantages, terms, kind)
-            scale = _term_scale(report.per_token_terms, total)
-            found.append((f"partition:{kind}", _rel_gap(report.value, position_major, scale)))
+        for kind, report in zip((GRPO, PRM, LAMBDA), reports):
+            node_major = _node_major_value(derived, terms, kind)
+            scale = _term_scale(derived, report.per_token_terms)
+            found.append((f"partition:{kind}", _rel_gap(report.value, node_major, scale)))
 
         # 3. per-token scaling law; a token whose sides are equal has gap 0
         scaling_gap = 0.0

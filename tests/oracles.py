@@ -70,8 +70,10 @@ def partition_at(tree, t):
     Their member sets are pairwise disjoint and cover exactly the
     trajectories longer than t.
     """
-    if not 0 <= t < tree.max_len:
-        raise IndexError(f"position {t} outside [0, {tree.max_len})")
+    # each leaf's span ends where its completion does
+    max_len = max(leaf.span_end for leaf in tree.leaves)
+    if not 0 <= t < max_len:
+        raise IndexError(f"position {t} outside [0, {max_len})")
     return [n for n in tree.nodes if n.span_start <= t < n.span_end]
 
 

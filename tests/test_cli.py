@@ -429,8 +429,8 @@ class TestWeights:
         assert out.read_bytes() == (GOLDEN / f"weights_{objective}.jsonl").read_bytes()
 
 
-# rewards, the logps of completion 0 (the others carry zeros), the message
-# part and the extra flags
+# rewards, the logps of completion 0 (the others carry zeros, or the same
+# logps in a SHARED_LOGPS case), the message part and the extra flags
 OVERFLOWS = {
     "variance": ([1e200, -1e200], {}, "group 'wide': reward variance", ()),
     "variance-3": (
@@ -458,7 +458,27 @@ OVERFLOWS = {
         "group 'wide': objective term overflows",
         ("--beta", "100"),
     ),
+    # every term is finite and the objective cancels to 0, but the sum of
+    # the term magnitudes that scales the gaps does not fit a float
+    "ratio-sum": (
+        [1.0, 0.0],
+        {"logp_new": (0.0,) * 3, "logp_old": (-709.0,) * 3},
+        "group 'wide': verification sum overflows",
+        (),
+    ),
 }
+SHARED_LOGPS = {"ratio-sum"}
+
+
+def overflow_group(case: str) -> Group:
+    rewards, logps, _, _ = OVERFLOWS[case]
+    length = max((len(row) for row in logps.values()), default=1)
+    others = logps if case in SHARED_LOGPS else {key: (0.0,) * length for key in logps}
+    trajectories = [Trajectory((0,) * length, rewards[0], **logps)]
+    trajectories += [
+        Trajectory((i,) * length, r, **others) for i, r in enumerate(rewards) if i
+    ]
+    return Group("wide", trajectories)
 
 
 @pytest.mark.parametrize(
@@ -476,19 +496,15 @@ OVERFLOWS = {
             (command, "kl-beta")
             for command in ("analyze", "weights", "verify")
         ),
+        ("verify", "ratio-sum"),
+        ("verify --skip-identities", "ratio-sum"),
     ],
 )
 def test_overflow_is_an_error(tmp_path, capsys, command, case):
-    rewards, logps, named, flags = OVERFLOWS[case]
-    length = max((len(row) for row in logps.values()), default=1)
-    zeros = {key: (0.0,) * length for key in logps}
-    trajectories = [Trajectory((0,) * length, rewards[0], **logps)]
-    trajectories += [
-        Trajectory((i,) * length, r, **zeros) for i, r in enumerate(rewards) if i
-    ]
+    _, _, named, flags = OVERFLOWS[case]
     path = tmp_path / "wide.jsonl"
-    write_dump(path, [Group("wide", trajectories)])
-    assert main([command, str(path), *flags]) == 1
+    write_dump(path, [overflow_group(case)])
+    assert main([*command.split(), str(path), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert named in err
@@ -559,6 +575,38 @@ SIMULATE_GOLDENS = {
     "simulate_series_grpo": FREE_FORM.format(objective="grpo"),
     "simulate_series_learning": LEARNING,
 }
+
+
+# simulate configs that are config errors, and the key each error names;
+# SIM_UNUSABLE's test prefixes each with "steps = 2"
+SIM_UNUSABLE = [
+    ("temperature = nan\n", "temperature"),
+    ("temperature = inf\n", "temperature"),
+    ("learn_rate = nan\n", "learn_rate"),
+    ("terminal_token = 99\n", "terminal_token"),
+    ("reward[] = 1\n", "reward[]"),
+]
+SIM_NON_FINITE = [
+    ("scenario = exploitation\nconcentration = nan\n", "concentration"),
+    ("scenario = exploitation\nconcentration = inf\n", "concentration"),
+    ("steps = 0\nepsilon = nan\n", "epsilon"),
+]
+SIM_UNREAD = [
+    ("steps = 2\nlerning_rate = 9\n", "lerning_rate"),
+    ("steps = 2\nbeta = 0\n", "beta"),
+    ("steps = 2\nconcentration = 2\n", "concentration"),
+    ("scenario = exploitation\nvocab_size = 3\n", "vocab_size"),
+    ("scenario = exploitation\nreward[1,2] = 1\n", "reward[...]"),
+    ("scenario = exploitation\nobjective = lambda\n", "objective"),
+]
+SIM_UNPARSABLE = [
+    ("seed = 1.5\n", "seed"),
+    ("steps = x\n", "steps"),
+    ("terminal_token = end\n", "terminal_token"),
+    ("scenario = exploitation\nconcentration = big\n", "concentration"),
+    ("reward[1,x] = 1\n", "reward[1,x]"),
+    ("reward[1] = abc\n", "reward[1]"),
+]
 
 
 class TestSimulate:
@@ -656,16 +704,7 @@ class TestSimulate:
         assert err.startswith("error:")
         assert "outside the vocabulary" in err
 
-    @pytest.mark.parametrize(
-        "text, key",
-        [
-            ("temperature = nan\n", "temperature"),
-            ("temperature = inf\n", "temperature"),
-            ("learn_rate = nan\n", "learn_rate"),
-            ("terminal_token = 99\n", "terminal_token"),
-            ("reward[] = 1\n", "reward[]"),
-        ],
-    )
+    @pytest.mark.parametrize("text, key", SIM_UNUSABLE)
     def test_unusable_value_names_its_key(self, tmp_path, capsys, text, key):
         config = tmp_path / "sim.cfg"
         config.write_text("steps = 2\n" + text, encoding="utf-8")
@@ -675,14 +714,7 @@ class TestSimulate:
         assert captured.err.startswith("error:")
         assert key in captured.err
 
-    @pytest.mark.parametrize(
-        "text, key",
-        [
-            ("scenario = exploitation\nconcentration = nan\n", "concentration"),
-            ("scenario = exploitation\nconcentration = inf\n", "concentration"),
-            ("steps = 0\nepsilon = nan\n", "epsilon"),
-        ],
-    )
+    @pytest.mark.parametrize("text, key", SIM_NON_FINITE)
     def test_non_finite_value_names_its_key(self, tmp_path, capsys, text, key):
         config = tmp_path / "sim.cfg"
         config.write_text(text, encoding="utf-8")
@@ -697,17 +729,7 @@ class TestSimulate:
         assert main(["simulate", str(config)]) == 1
         assert "scenario" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "text, key",
-        [
-            ("steps = 2\nlerning_rate = 9\n", "lerning_rate"),
-            ("steps = 2\nbeta = 0\n", "beta"),
-            ("steps = 2\nconcentration = 2\n", "concentration"),
-            ("scenario = exploitation\nvocab_size = 3\n", "vocab_size"),
-            ("scenario = exploitation\nreward[1,2] = 1\n", "reward[...]"),
-            ("scenario = exploitation\nobjective = lambda\n", "objective"),
-        ],
-    )
+    @pytest.mark.parametrize("text, key", SIM_UNREAD)
     def test_key_the_run_never_reads(self, tmp_path, capsys, text, key):
         config = tmp_path / "sim.cfg"
         config.write_text(text, encoding="utf-8")
@@ -716,17 +738,7 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith(f"error: config key {key!r} is not read")
 
-    @pytest.mark.parametrize(
-        "text, key",
-        [
-            ("seed = 1.5\n", "seed"),
-            ("steps = x\n", "steps"),
-            ("terminal_token = end\n", "terminal_token"),
-            ("scenario = exploitation\nconcentration = big\n", "concentration"),
-            ("reward[1,x] = 1\n", "reward[1,x]"),
-            ("reward[1] = abc\n", "reward[1]"),
-        ],
-    )
+    @pytest.mark.parametrize("text, key", SIM_UNPARSABLE)
     def test_unparsable_value_names_its_key(self, tmp_path, capsys, text, key):
         config = tmp_path / "sim.cfg"
         config.write_text(text, encoding="utf-8")
@@ -780,6 +792,49 @@ def _summary_text(**fields) -> str:
         "proportion_hist": {},
     }
     return json.dumps({**summary, **fields})
+
+
+def _step_raw(**fields) -> dict:
+    """An empty per-step entry of a mergeable summary, with ``fields`` overridden."""
+    entry = {"group_count": 0, "trajectory_count": 0, "trivial_count": 0, "depth_sum": 0}
+    return {**entry, "proportion_sum": "0", **fields}
+
+
+# summaries that analyze cannot produce, and the quoted field each error names
+IMPOSSIBLE_SUMMARIES = {
+    "negative-count": (_summary_text(group_count=-5), "'group_count'"),
+    "trivial-above-groups": (_summary_text(group_count=1, trivial_count=2), "'trivial_count'"),
+    "zero-length-above-count": (_summary_text(zero_length_count=1), "'zero_length_count'"),
+    "negative-proportion-sum": (_summary_text(proportion_sum="-7/3"), "'proportion_sum'"),
+    "proportion-sum-above-count": (_summary_text(proportion_sum="1/2"), "'proportion_sum'"),
+    "proportion-key-out-of-range": (
+        _summary_text(trajectory_count=1, depth_hist={"0": 1}, proportion_hist={"5000": 1}),
+        "'proportion_hist'",
+    ),
+    "negative-depth-key": (
+        _summary_text(trajectory_count=3, depth_hist={"-5": 3}, proportion_hist={"0": 3}),
+        "'depth_hist'",
+    ),
+    "negative-hist-count": (_summary_text(depth_hist={"0": -3}), "'depth_hist.0'"),
+    "hist-total": (
+        _summary_text(trajectory_count=2, depth_hist={"0": 1}, proportion_hist={"0": 2}),
+        "'depth_hist'",
+    ),
+    "depth-sum": (
+        _summary_text(
+            trajectory_count=2, depth_sum=3, depth_hist={"1": 2}, proportion_hist={"0": 2}
+        ),
+        "'depth_sum'",
+    ),
+    "per-step-above-total": (
+        _summary_text(per_step_raw={"1": _step_raw(group_count=1)}),
+        "'per_step_raw'",
+    ),
+    "per-step-trivial": (
+        _summary_text(group_count=1, per_step_raw={"1": _step_raw(trivial_count=1)}),
+        "'per_step_raw.1.trivial_count'",
+    ),
+}
 
 
 class TestReport:
@@ -851,6 +906,7 @@ class TestReport:
             pytest.param(_summary_text(depth_hist={"x": 1}), "depth_hist", id="str-hist-key"),
             pytest.param(_summary_text(proportion_sum="1/0"), "proportion_sum", id="bad-fraction"),
             pytest.param(_summary_text(per_step_raw={"1": []}), "per_step_raw", id="array-step"),
+            *(pytest.param(*case, id=name) for name, case in IMPOSSIBLE_SUMMARIES.items()),
         ],
     )
     def test_malformed_summary_is_an_error(self, tmp_path, capsys, text, named):
@@ -860,6 +916,23 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert named in err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"proportion_sum": "1/" + "3" * 5000},
+            {"group_count": "9" * 5000},
+            {"depth_hist": {"x" * 5000: 1}},
+        ],
+        ids=["fraction", "count", "hist-key"],
+    )
+    def test_bad_value_is_echoed_cut(self, tmp_path, capsys, fields):
+        path = tmp_path / "summary.json"
+        path.write_text(_summary_text(**fields) + "\n", encoding="utf-8")
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: summary field ")
+        assert len(err) < 200
 
 
 class TestUsage:
@@ -986,3 +1059,86 @@ def test_traced_mode_sees_calls_bound_at_call_time(tmp_path, dump):
     calls = traced_calls(tmp_path, ["verify", "--random", "2"])
     assert calls.get("verify.run_verification") == 1
     assert calls.get("verify.verify_proof_identities", 0) > 0
+
+
+def malformed_probes(command: str) -> dict[str, tuple[list[str], object]]:
+    """Probe name -> (extra arguments, input text or bytes) for one command.
+
+    The dump commands read each malformed line alone (strict and lenient)
+    and each overflowing group; ``report`` reads summaries ``analyze`` cannot
+    write; ``simulate`` reads the configs of the simulate error tests.
+    """
+    if command == "simulate":
+        texts = {
+            "softmax": "seed = 1\nk = 8\nsteps = 3\ntemperature = 1e-300\nreward[3] = 1\n"
+            "terminal_token = 3\n",
+            "scenario": "scenario = warp\n",
+            "one-step": "mode = one_step\n",
+            "token": "vocab_size = 2\nmax_len = 2\nsteps = 2\nreward[5] = 1\n",
+            "no-equals": "steps\n",
+        }
+        for n, (text, key) in enumerate(SIM_UNUSABLE):
+            texts[f"unusable-{n}-{key}"] = "steps = 2\n" + text
+        for n, (text, key) in enumerate(SIM_NON_FINITE + SIM_UNREAD + SIM_UNPARSABLE):
+            texts[f"{n}-{key}"] = text
+    elif command == "report":
+        texts = {
+            "deep": "[" * 200_000,
+            "not-json": "{",
+            "array": "[]",
+            "missing-field": '{"group_count": 1}',
+            "long-fraction": _summary_text(proportion_sum="1/" + "3" * 5000),
+            **{name: text for name, (text, _) in IMPOSSIBLE_SUMMARIES.items()},
+        }
+    else:
+        texts = {"empty": "", "not-json": "not json\n"}
+        for name, (line, _) in MALFORMED_LINES.items():
+            texts[name] = line + "\n"
+    probes = {name: ([], text) for name, text in texts.items()}
+    probes["not-utf8"] = ([], b"\xff\xfe\n")
+    if command in ("analyze", "weights", "verify", "tree"):
+        for name, text in texts.items():
+            probes[name + "-strict"] = (["--strict"], text)
+        for case, (_, _, _, flags) in OVERFLOWS.items():
+            text = serialize_group(overflow_group(case)) + "\n"
+            probes["overflow-" + case] = ([] if command == "tree" else list(flags), text)
+    return probes
+
+
+def _valid_output(command: str, out: str) -> bool:
+    if command in ("analyze", "simulate"):
+        return bool(next(csv.reader(out.splitlines()), None))
+    if command == "weights":
+        return all(json.loads(line) for line in out.splitlines())
+    if command == "verify":
+        return all(line.startswith(("equivalence: ", "identities: ")) for line in out.splitlines())
+    if command == "tree":
+        return out.startswith("digraph process_tree {")
+    return bool(json.loads(out))
+
+
+@pytest.mark.parametrize("command", ["analyze", "weights", "verify", "tree", "report", "simulate"])
+def test_malformed_input_never_ends_in_a_traceback(tmp_path, capsys, command):
+    # each input either fails with one error line or runs to valid output
+    cases = {"missing-file": ([], None), "directory": ([], tmp_path), **malformed_probes(command)}
+    extra = ["--group-id", "wide"] if command == "tree" else []
+    wrong = []
+    for n, (name, (flags, content)) in enumerate(cases.items()):
+        # a new file per input: rewriting one costs tens of ms on some file systems
+        path = tmp_path / f"input-{n}"
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path = content or path
+        code = main([command, str(path), *extra, *flags])
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        if code == 1:
+            ok = len(errors) == 1 and err.endswith(errors[0] + "\n")
+        else:
+            ok = code == 0 and not errors and _valid_output(command, out)
+        if not ok or "Traceback" in out + err:
+            wrong.append((name, code, err[-200:]))
+    assert wrong == []

@@ -201,6 +201,9 @@ class TestAssignment:
         assignment = assign_tokens(tree)
         seqs = [t.tokens for t in overlap_group.trajectories]
         spans = enumerate_process_sets(seqs)
+        for i, t in ((-1, 0), (len(seqs), 0)):
+            with pytest.raises(IndexError):
+                assignment.owner(i, t)
         for i, seq in enumerate(seqs):
             for t in (-1, len(seq)):
                 with pytest.raises(IndexError):
@@ -254,7 +257,7 @@ class TestPartition:
         for index in range(30):
             group = generate_random_group(params, index)
             tree = build_process_tree(group)
-            for t in range(tree.max_len):
+            for t in range(group.max_len):
                 nodes = partition_at(tree, t)
                 seen: set[int] = set()
                 for node in nodes:

@@ -3,7 +3,11 @@ from dataclasses import replace
 import pytest
 
 from steptree import (
+    GRPO,
+    LAMBDA,
+    PRM,
     ObjectiveConfig,
+    TokenTerms,
     build_process_tree,
     derive_group,
     group_from_sequences,
@@ -15,7 +19,7 @@ from steptree.verify import (
     GenParams,
     LOGP_RANDOM_CONSISTENT,
     VerificationReport,
-    _span_partitions,
+    _node_major_value,
     degenerate_groups,
     generate_random_group,
     run_verification,
@@ -220,7 +224,9 @@ class TestIdentities:
         assert entry.value_a < 0.0
 
 
-    def test_swept_partitions_match_the_oracle(self):
+    def test_node_major_sums_count_each_token_once(self):
+        # token (i, t) alone carries P = 1, beta is 0 and every advantage is
+        # 1, so a node-major sum counts how often it reads that token
         params = GenParams(seed=14, k_range=(2, 8), length_range=(0, 12), fork_bias=0.6)
         groups = [generate_random_group(params, index) for index in range(40)]
         # duplicates, exact prefixes, zero-length completions
@@ -228,11 +234,26 @@ class TestIdentities:
         groups.append(group_from_sequences("chain", [[1] * (j + 1) for j in range(30)], [0.0] * 30))
         groups.append(group_from_sequences("all-empty", [(), ()], [0.0, 1.0]))
         for group in groups:
-            tree = build_process_tree(group)
-            partitions = _span_partitions(tree)
-            assert len(partitions) == tree.max_len
-            for t, partition in enumerate(partitions):
-                assert partition == partition_at(tree, t), (group.query_id, t)
+            derived = derive_group(group, [UNIT])
+            tree = derived.tree
+            derived = derived._replace(
+                advantages=[1.0] * group.k, node_advantages=(1.0,) * len(tree.nodes)
+            )
+            zeros = [[0.0] * len(traj) for traj in group.trajectories]
+            for kind in (GRPO, PRM, LAMBDA):
+                assert _node_major_value(derived, TokenTerms(zeros, zeros, 0.0), kind) == 0.0
+            once = 1.0 / max(group.total_tokens, 1)
+            for i, traj in enumerate(group.trajectories):
+                for t in range(len(traj)):
+                    p = [row[:] for row in zeros]
+                    p[i][t] = 1.0
+                    terms = TokenTerms(p, zeros, 0.0)
+                    (owner,) = [n for n in partition_at(tree, t) if i in n.members]
+                    where = (group.query_id, i, t)
+                    assert _node_major_value(derived, terms, GRPO) == once, where
+                    assert _node_major_value(derived, terms, PRM) == once, where
+                    first = once if owner.members[0] == i else 0.0
+                    assert _node_major_value(derived, terms, LAMBDA) == first, where
 
 
 class TestReport:

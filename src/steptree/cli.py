@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import stat
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO
 
 from .core import (
     DEFAULT_EPSILON,
@@ -143,6 +145,13 @@ def _open_out(path: str) -> Iterator[TextIO]:
             yield handle
 
 
+def _print_skipped(errors: list) -> None:
+    if errors:
+        print(f"skipped {len(errors)} malformed line(s)", file=sys.stderr)
+        for err in errors[:5]:
+            print(f"  {err}", file=sys.stderr)
+
+
 def _read_groups(path: str, strict: bool) -> Iterator[Group]:
     from .io import RecordError, iter_groups
 
@@ -152,10 +161,102 @@ def _read_groups(path: str, strict: bool) -> Iterator[Group]:
         with open(path, "r", encoding="utf-8") as handle:
             yield from iter_groups(handle, strict=strict, errors=errors)
     finally:
-        if errors:
-            print(f"skipped {len(errors)} malformed line(s)", file=sys.stderr)
-            for err in errors[:5]:
-                print(f"  {err}", file=sys.stderr)
+        _print_skipped(errors)
+
+
+# a verify FILE smaller than this is checked in one process
+_FAN_OUT_MIN_BYTES = 1 << 20
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _mapper(path: Optional[str] = None) -> Callable:
+    """``_fan_out`` when a forked child can take half the work, else ``map``.
+
+    That needs ``os.fork``, a single-threaded process, two usable CPUs and,
+    for a file, a regular one of at least ``_FAN_OUT_MIN_BYTES``.
+    """
+    if path is not None:
+        try:
+            info = os.stat(path)
+        except OSError:  # the serial loop reports it
+            return map
+        if not stat.S_ISREG(info.st_mode) or info.st_size < _FAN_OUT_MIN_BYTES:
+            return map
+    import threading
+
+    if not hasattr(os, "fork") or threading.active_count() > 1 or _usable_cpus() < 2:
+        return map
+    return _fan_out
+
+
+def _fan_out(func: Callable, items: Iterable) -> Iterator:
+    """``map(func, items)``, with every second item mapped in a forked child.
+
+    Both processes iterate ``items`` themselves, so it must yield the same
+    items in each and share no open file between them. The child pipes its
+    pickled results, or the exception it raised, and the parent yields
+    them in item order between its own: what the caller sees, including the
+    first exception and where it falls, is what ``map`` gives. A child that
+    dies early is an OSError; where no child can be forked, the parent maps
+    every item.
+    """
+    import pickle
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: map them all here
+        os.close(read_fd)
+        os.close(write_fd)
+        yield from map(func, items)
+        return
+    if pid == 0:
+        # the child leaves only through os._exit: no inherited buffer is
+        # flushed and none of the caller's exit code runs
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                try:
+                    for index, item in enumerate(items):
+                        if index % 2:
+                            pipe.write(pickle.dumps((True, func(item))))
+                            pipe.flush()
+                except Exception as exc:
+                    pipe.write(pickle.dumps((False, exc)))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            for index, item in enumerate(items):
+                if index % 2 == 0:
+                    yield func(item)
+                    continue
+                try:
+                    ok, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise OSError("the worker process ended before its results came") from None
+                if not ok:
+                    raise value
+                yield value
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _dump_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The numbered non-blank lines of a dump, from a handle of their own."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if line.strip():
+                yield line_no, line
 
 
 def _csv_cell(value) -> str:
@@ -241,16 +342,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.random is None and args.input is None:
         print("verify needs an input file or --random N", file=sys.stderr)
         return 2
-    from .io import effective_config
+    from .io import RecordError, effective_config, iter_groups
     from .verify import (
         GenParams,
         IDENTITY_TOL,
         VerificationReport,
-        derive_group,
+        check_group,
         run_verification,
         verification_configs,
-        verify_equivalence,
-        verify_proof_identities,
     )
 
     if args.random is not None:
@@ -268,19 +367,41 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             check_identities=not args.skip_identities,
             std_mode=args.std,
             epsilon=args.eps,
+            mapper=_mapper(),
         )
     else:
         equivalence = VerificationReport(tol=args.tol)
         identities = (
             None if args.skip_identities else VerificationReport(tol=IDENTITY_TOL)
         )
-        for group in _read_groups(args.input, args.strict):
+
+        def check(numbered: tuple[int, str]) -> tuple:
+            # a malformed line comes back as its message, not as a RecordError,
+            # which pickle cannot rebuild
+            line_no, line = numbered
+            try:
+                group = next(iter_groups([line]))
+            except RecordError as err:
+                return line_no, err.message
             configs = [effective_config(group, args.beta, assume_unit_ratio=False)]
-            derived = derive_group(group, configs, args.std, args.eps)
-            equivalence.record(verify_equivalence(derived))
-            if identities is not None:
-                identities.record(verify_proof_identities(derived))
-            del derived  # not held while the next group is read
+            return line_no, check_group(
+                group, configs, args.std, args.eps, not args.skip_identities
+            )
+
+        errors: list[RecordError] = []
+        try:
+            for line_no, outcome in _mapper(args.input)(check, _dump_lines(args.input)):
+                if isinstance(outcome, str):
+                    if args.strict:
+                        raise RecordError(line_no, outcome)
+                    errors.append(RecordError(line_no, outcome))
+                    continue
+                equivalence_entry, identity_entry = outcome
+                equivalence.record(equivalence_entry)
+                if identities is not None:
+                    identities.record(identity_entry)
+        finally:
+            _print_skipped(errors)
     _print_report("equivalence", equivalence)
     _print_report("identities", identities)
     failed = bool(equivalence.failures) or bool(identities and identities.failures)

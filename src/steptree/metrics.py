@@ -304,6 +304,9 @@ def _entry(data: dict, counts: tuple[str, ...], prefix: str = "") -> dict:
         _require(False, label, f"is not a fraction: {_shown(text)}")
     trivial_ok = fields["trivial_count"] <= fields["group_count"]
     _require(trivial_ok, prefix + "trivial_count", "exceeds group_count")
+    # every group has at least two completions
+    enough = fields["trajectory_count"] >= 2 * fields["group_count"]
+    _require(enough, prefix + "trajectory_count", "is below twice group_count")
     in_range = 0 <= fields["proportion_sum"] <= fields["trajectory_count"]
     _require(in_range, label, "is outside [0, trajectory_count]")
     return fields

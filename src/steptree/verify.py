@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     DEFAULT_EPSILON,
@@ -227,15 +227,20 @@ def _rel_gap(a: float, b: float, scale: float = 0.0) -> float:
     return abs(a - b) / max(abs(a), abs(b), scale, _REL_FLOOR)
 
 
+def _finite(derived: GroupDerivation, value: float) -> float:
+    """``value``; an oracle value beyond the float range is an error."""
+    if not math.isfinite(value):
+        raise ValueError(f"group {derived.group.query_id!r}: verification sum overflows")
+    return value
+
+
 def _fsum(derived: GroupDerivation, values: Iterable[float]) -> float:
-    """``math.fsum`` of oracle terms; a sum beyond the float range is an error."""
+    """``math.fsum`` of oracle terms, checked by ``_finite``."""
     try:
         total = math.fsum(values)
     except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
         total = math.inf
-    if not math.isfinite(total):
-        raise ValueError(f"group {derived.group.query_id!r}: verification sum overflows")
-    return total
+    return _finite(derived, total)
 
 
 def _term_scale(derived: GroupDerivation, per_token_terms: Sequence[Sequence[float]]) -> float:
@@ -442,6 +447,7 @@ def verify_proof_identities(derived: GroupDerivation) -> VerificationEntry:
                 lhs = _fsum(derived, [p[i][t] * ahat - beta * d[i][t] for i in members])
                 rhs = len(members) * (p[rep][t] * ahat - beta * d[rep][t])
                 if lhs != rhs:
+                    _finite(derived, rhs)
                     scale = _fsum(
                         derived, [abs(p[i][t] * ahat) + beta * d[i][t] for i in members]
                     )
@@ -486,6 +492,19 @@ def verification_configs(beta: float = DEFAULT_BETA) -> list[ObjectiveConfig]:
     ]
 
 
+def check_group(
+    group: Group,
+    configs: Sequence[ObjectiveConfig],
+    std_mode: str = SAMPLE,
+    epsilon: float = DEFAULT_EPSILON,
+    check_identities: bool = True,
+) -> tuple[VerificationEntry, Optional[VerificationEntry]]:
+    """The equivalence entry of one group and, unless disabled, its identity entry."""
+    derived = derive_group(group, configs, std_mode, epsilon)
+    identities = verify_proof_identities(derived) if check_identities else None
+    return verify_equivalence(derived), identities
+
+
 def run_verification(
     params: GenParams,
     n_groups: int,
@@ -494,11 +513,15 @@ def run_verification(
     check_identities: bool = True,
     std_mode: str = SAMPLE,
     epsilon: float = DEFAULT_EPSILON,
+    mapper: Callable = map,
 ) -> tuple[VerificationReport, Optional[VerificationReport]]:
     """Run the full suite: generated groups plus the mandatory degenerates.
 
     Returns the equivalence report and, unless disabled, the identity
     report (at ``IDENTITY_TOL``). Every group is checked under every config.
+    ``mapper(check, sources)`` must yield ``check(source)`` for each source
+    in order; the sources are the degenerate groups, then the indices of
+    the generated groups, which ``check`` generates itself.
     """
     if n_groups < 0:
         raise ValueError(f"the number of random groups must be >= 0, got {n_groups}")
@@ -511,13 +534,15 @@ def run_verification(
         params = replace(params, logp_mode=LOGP_RANDOM_CONSISTENT)
     equivalence = VerificationReport(tol=tol)
     identities = VerificationReport(tol=IDENTITY_TOL) if check_identities else None
-    groups = chain(
-        degenerate_groups(needs_logps),
-        (generate_random_group(params, index) for index in range(n_groups)),
-    )
-    for group in groups:
-        derived = derive_group(group, configs, std_mode, epsilon)
-        equivalence.record(verify_equivalence(derived))
+
+    def check(source):
+        if not isinstance(source, Group):
+            source = generate_random_group(params, source)
+        return check_group(source, configs, std_mode, epsilon, check_identities)
+
+    sources = chain(degenerate_groups(needs_logps), range(n_groups))
+    for equivalence_entry, identity_entry in mapper(check, sources):
+        equivalence.record(equivalence_entry)
         if identities is not None:
-            identities.record(verify_proof_identities(derived))
+            identities.record(identity_entry)
     return equivalence, identities

@@ -466,19 +466,32 @@ OVERFLOWS = {
         "group 'wide': verification sum overflows",
         (),
     ),
+    # identity 1's right-hand side, four times the shared first token's term,
+    # overflows while the four terms' sum does not
+    "node-sum": (
+        [1.0, 1.0, 1.0, 1.0, 0.0],
+        {"logp_new": (0.0, 0.0), "logp_old": (-709.7, 0.0)},
+        "group 'wide': verification sum overflows",
+        (),
+    ),
 }
 SHARED_LOGPS = {"ratio-sum"}
+# the token rows of a case whose completions share a prefix
+CASE_TOKENS = {"node-sum": [(1, 0), (1, 1), (1, 2), (1, 3), (2, 4)]}
 
 
 def overflow_group(case: str) -> Group:
     rewards, logps, _, _ = OVERFLOWS[case]
     length = max((len(row) for row in logps.values()), default=1)
     others = logps if case in SHARED_LOGPS else {key: (0.0,) * length for key in logps}
-    trajectories = [Trajectory((0,) * length, rewards[0], **logps)]
-    trajectories += [
-        Trajectory((i,) * length, r, **others) for i, r in enumerate(rewards) if i
-    ]
-    return Group("wide", trajectories)
+    tokens = CASE_TOKENS.get(case) or [(i,) * length for i in range(len(rewards))]
+    return Group(
+        "wide",
+        [
+            Trajectory(row, r, **(logps if i == 0 else others))
+            for i, (row, r) in enumerate(zip(tokens, rewards))
+        ],
+    )
 
 
 @pytest.mark.parametrize(
@@ -498,6 +511,7 @@ def overflow_group(case: str) -> Group:
         ),
         ("verify", "ratio-sum"),
         ("verify --skip-identities", "ratio-sum"),
+        ("verify", "node-sum"),
     ],
 )
 def test_overflow_is_an_error(tmp_path, capsys, command, case):
@@ -827,12 +841,29 @@ IMPOSSIBLE_SUMMARIES = {
         "'depth_sum'",
     ),
     "per-step-above-total": (
-        _summary_text(per_step_raw={"1": _step_raw(group_count=1)}),
+        _summary_text(per_step_raw={"1": _step_raw(group_count=1, trajectory_count=2)}),
         "'per_step_raw'",
     ),
     "per-step-trivial": (
-        _summary_text(group_count=1, per_step_raw={"1": _step_raw(trivial_count=1)}),
+        _summary_text(
+            group_count=1,
+            trajectory_count=2,
+            depth_hist={"0": 2},
+            proportion_hist={"0": 2},
+            per_step_raw={"1": _step_raw(trivial_count=1)},
+        ),
         "'per_step_raw.1.trivial_count'",
+    ),
+    "trajectories-below-groups": (_summary_text(group_count=5), "'trajectory_count'"),
+    "per-step-trajectories-below-groups": (
+        _summary_text(
+            group_count=1,
+            trajectory_count=3,
+            depth_hist={"0": 3},
+            proportion_hist={"0": 3},
+            per_step_raw={"1": _step_raw(group_count=1, trajectory_count=1)},
+        ),
+        "'per_step_raw.1.trajectory_count'",
     ),
 }
 

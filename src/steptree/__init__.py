@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": """DEFAULT_EPSILON DEFAULT_TOL Group POPULATION RewardStats SAMPLE
         Trajectory group_from_sequences outcome_advantages reward_stats""",
-    "metrics": "GroupMetrics MetricsSummary aggregate_metrics group_metrics",
+    "metrics": "GroupMetrics MetricsSummary group_metrics",
     "objectives": """DEFAULT_BETA ConfigurationError GRPO LAMBDA ObjectiveConfig
         ObjectiveReport PRM TokenTerms lambda_weights objective_grpo
         objective_lambda objective_prm token_terms""",

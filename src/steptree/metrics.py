@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import Group
 from .tree import ProcessTree, is_trivial
@@ -333,11 +333,3 @@ def _hist_quantile(hist: Counter[int], q: float, n: int) -> Optional[int]:
         if seen >= rank:
             return key
     return None
-
-
-def aggregate_metrics(stream: Iterable[GroupMetrics]) -> MetricsSummary:
-    """Fold a stream of per-group diagnostics into one summary."""
-    summary = MetricsSummary()
-    for metrics in stream:
-        summary.add(metrics)
-    return summary

@@ -103,9 +103,6 @@ class ToyPolicy:
         log_norm = top + math.log(total)
         return [e / total for e in exps], [z - log_norm for z in scaled]
 
-    def probs(self, ctx: Context) -> list[float]:
-        return self.softmax(ctx)[0]
-
     def sequence_logps(self, tokens: Sequence[int]) -> list[float]:
         """Log-probability of each token given its context along the way."""
         out = []
@@ -391,7 +388,7 @@ def sequence_probability(policy: ToyPolicy, tokens: Sequence[int]) -> float:
     prob = 1.0
     prefix: list[int] = []
     for tok in tokens:
-        prob *= policy.probs(policy.context(prefix))[tok]
+        prob *= policy.softmax(policy.context(prefix))[0][tok]
         prefix.append(tok)
     return prob
 

@@ -36,7 +36,7 @@ from steptree import (
 )
 from steptree.cli import main
 from steptree.io import iter_groups, serialize_group
-from steptree.metrics import aggregate_metrics, group_metrics
+from steptree.metrics import MetricsSummary, group_metrics
 from steptree.sim import ToyEnv, ToyPolicy
 from steptree.verify import (
     GenParams,
@@ -354,7 +354,7 @@ def test_criterion_9_triviality_semantics():
         assert prm.per_token_terms == grpo.per_token_terms
 
     # aggregate fraction over a mixed stream
-    stream = []
+    summary = MetricsSummary()
     trivial_count = 0
     for index in range(67):
         if index % 5 == 0:
@@ -362,8 +362,7 @@ def test_criterion_9_triviality_semantics():
         else:
             group = generate_random_group(trivial_params, 1000 + index)
             trivial_count += 1
-        stream.append(group_metrics(build_process_tree(group), group))
-    summary = aggregate_metrics(stream)
+        summary.add(group_metrics(build_process_tree(group), group))
     assert summary.group_count == 67
     assert summary.trivial_count == trivial_count
     assert summary.trivial_fraction == trivial_count / 67

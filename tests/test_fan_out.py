@@ -3,8 +3,11 @@
 Every run here goes through ``cli.main`` twice, once serial and once with
 the CPU probe at 2 and the size gate at 0, and the two must agree byte for
 byte on stdout, on stderr and in the exit code. No child may be left behind.
+The CPU probe is patched, so the placement tests also pass where the
+process may run on one CPU only (say, under ``taskset -c 0``).
 """
 
+import errno
 import json
 import os
 import pickle
@@ -250,3 +253,88 @@ def test_library_never_forks(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     equivalence, identities = run_verification(GenParams(seed=8), 10)
     assert equivalence.passed and identities.passed
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls"
+)
+SUITE = ["verify", "--random", "12", "--seed", "9"]
+
+
+def record_affinity(monkeypatch, log: Path, forward):
+    """Log each ``os.sched_setaffinity`` call as ``pid cpu,cpu``, then ``forward`` it.
+
+    The log is reopened per call, so a forked child's lines are on disk
+    before it leaves through ``os._exit``.
+    """
+
+    def recorded(pid, cpus):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {','.join(map(str, sorted(cpus)))}\n")
+        forward(pid, cpus)
+
+    log.touch()
+    monkeypatch.setattr(os, "sched_setaffinity", recorded)
+
+
+def calls_by_process(log: Path) -> dict:
+    calls = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, cpus = line.split()
+        calls.setdefault(int(pid), []).append(cpus)
+    return calls
+
+
+def test_parent_and_child_start_on_two_cpus(tmp_path, monkeypatch, capsys, forks):
+    log = tmp_path / "affinity.log"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 2, 5}, raising=False)
+    record_affinity(monkeypatch, log, lambda pid, cpus: None)
+    assert_same_as_serial(monkeypatch, capsys, forks, SUITE)
+    calls = calls_by_process(log)
+    parent = calls.pop(os.getpid())
+    # each moves to a CPU of its own, then frees its whole mask again
+    assert parent == ["2", "2,5,7"]
+    assert list(calls.values()) == [["5", "2,5,7"]]
+
+
+@needs_affinity
+def test_the_parent_mask_is_put_back(tmp_path, monkeypatch, capsys, forks):
+    # the real calls: on one usable CPU there are none, on two the parent moves
+    log = tmp_path / "affinity.log"
+    mask = os.sched_getaffinity(0)
+    record_affinity(monkeypatch, log, os.sched_setaffinity)
+    assert_same_as_serial(monkeypatch, capsys, forks, SUITE)
+    assert os.sched_getaffinity(0) == mask
+    parent = calls_by_process(log).get(os.getpid(), [])
+    assert parent == ([] if len(mask) < 2 else [str(min(mask)), ",".join(map(str, sorted(mask)))])
+
+
+def refuse(pid, cpus):
+    raise OSError(errno.EINVAL, "Invalid argument")
+
+
+@needs_affinity
+@pytest.mark.parametrize("case", ["one-cpu", "no-call", "refused"])
+def test_no_placement_changes_nothing(tmp_path, monkeypatch, capsys, forks, case):
+    log = tmp_path / "affinity.log"
+    mask = os.sched_getaffinity(0)
+    real_set = os.sched_setaffinity
+    if case == "no-call":
+        monkeypatch.delattr(os, "sched_setaffinity")
+    else:
+        record_affinity(monkeypatch, log, refuse if case == "refused" else real_set)
+    if case == "one-cpu":
+        real_set(0, {min(mask)})
+    try:
+        for args in (SUITE, ["verify", str(GOLDEN_DUMP), "--skip-identities"]):
+            assert_same_as_serial(monkeypatch, capsys, forks, args)
+        one_cpu_mask = os.sched_getaffinity(0)
+    finally:
+        real_set(0, mask)
+    if case == "one-cpu":
+        assert one_cpu_mask == {min(mask)} and log.read_text(encoding="utf-8") == ""
+    elif case == "refused" and len(mask) > 1:  # each process tried once a run
+        calls = calls_by_process(log)
+        assert calls.pop(os.getpid()) == [str(min(mask))] * 2
+        assert sorted(calls.values()) == [[str(sorted(mask)[1])]] * 2
+    assert os.sched_getaffinity(0) == mask

@@ -3,12 +3,7 @@ import math
 
 import pytest
 
-from steptree import (
-    aggregate_metrics,
-    build_process_tree,
-    group_from_sequences,
-    group_metrics,
-)
+from steptree import build_process_tree, group_from_sequences, group_metrics
 from steptree.metrics import MetricsSummary
 from steptree.verify import GenParams, generate_random_group
 
@@ -22,6 +17,14 @@ OVERLAP_MEAN_P = 0.5623015873015873  # fsum of the above over 6
 
 def metrics_of(group):
     return group_metrics(build_process_tree(group), group)
+
+
+def summarize(stream) -> MetricsSummary:
+    """Fold per-group diagnostics into one summary, one ``add`` at a time."""
+    summary = MetricsSummary()
+    for metrics in stream:
+        summary.add(metrics)
+    return summary
 
 
 class TestGroupMetrics:
@@ -81,19 +84,19 @@ class TestGroupMetrics:
 class TestAggregate:
     def test_all_trivial_stream(self):
         stream = [metrics_of(make_trivial_group(k=3)) for _ in range(10)]
-        summary = aggregate_metrics(stream)
+        summary = summarize(stream)
         assert summary.group_count == 10
         assert summary.trivial_fraction == 1.0
         assert summary.mean_depth == 0.0
 
     def test_singleton_stream(self, overlap_group):
-        summary = aggregate_metrics([metrics_of(overlap_group)])
+        summary = summarize([metrics_of(overlap_group)])
         assert summary.trivial_fraction == 0.0
         assert summary.mean_proportion == pytest.approx(OVERLAP_MEAN_P, abs=1e-15)
         assert summary.mean_depth == pytest.approx(7.0 / 6.0, abs=1e-15)
 
     def test_empty_stream(self):
-        summary = aggregate_metrics([])
+        summary = summarize([])
         assert summary.group_count == 0
         assert summary.trivial_fraction is None
         assert summary.depth_quantile(0.5) is None
@@ -106,7 +109,7 @@ class TestAggregate:
     def test_mixed_stream_fraction(self, overlap_group):
         stream = [metrics_of(make_trivial_group()) for _ in range(3)]
         stream.append(metrics_of(overlap_group))
-        summary = aggregate_metrics(stream)
+        summary = summarize(stream)
         assert summary.trivial_fraction == 0.75
 
     def test_depth_quantiles_exact(self):
@@ -114,14 +117,14 @@ class TestAggregate:
             group_from_sequences("a", [(1, 2, 3), (1, 2, 4), (9,)], [1.0, 0.0, 1.0]),
             make_trivial_group(k=3),
         ]
-        summary = aggregate_metrics(metrics_of(g) for g in groups)
+        summary = summarize(metrics_of(g) for g in groups)
         # depths: (1, 1, 0) and (0, 0, 0)
         assert summary.depth_quantile(0.5) == 0
         assert summary.depth_quantile(0.9) == 1
         assert summary.depth_quantile(1.0) == 1
 
     def test_proportion_quantile_error_bound(self):
-        summary = aggregate_metrics([metrics_of(make_overlap_group())])
+        summary = summarize([metrics_of(make_overlap_group())])
         exact = sorted(OVERLAP_P)
         for q in (0.25, 0.5, 0.75, 1.0):
             rank = max(1, math.ceil(q * len(exact)))
@@ -140,9 +143,9 @@ class TestAggregate:
                 step=index % 4,
             )
             stream.append(metrics_of(group))
-        full = aggregate_metrics(stream)
-        left = aggregate_metrics(stream[:11])
-        right = aggregate_metrics(stream[11:])
+        full = summarize(stream)
+        left = summarize(stream[:11])
+        right = summarize(stream[11:])
         merged = left.merge(right)
         assert merged.group_count == full.group_count
         assert merged.trajectory_count == full.trajectory_count
@@ -156,15 +159,15 @@ class TestAggregate:
             assert merged.per_step[step].to_dict() == full.per_step[step].to_dict()
 
     def test_merge_is_order_independent(self, overlap_group):
-        a = aggregate_metrics([metrics_of(overlap_group)])
-        b = aggregate_metrics([metrics_of(make_trivial_group())])
+        a = summarize([metrics_of(overlap_group)])
+        b = summarize([metrics_of(make_trivial_group())])
         ab = a.merge(b)
         ba = b.merge(a)
         assert ab.to_mergeable_dict() == ba.to_mergeable_dict()
 
     def test_merge_shares_no_state_with_its_inputs(self):
-        a = aggregate_metrics([metrics_of(make_overlap_group(step=1))])
-        b = aggregate_metrics(
+        a = summarize([metrics_of(make_overlap_group(step=1))])
+        b = summarize(
             [metrics_of(make_overlap_group(step=2)), metrics_of(make_trivial_group())]
         )
         before = (a.to_mergeable_dict(), b.to_mergeable_dict())
@@ -175,7 +178,7 @@ class TestAggregate:
         assert (a.to_mergeable_dict(), b.to_mergeable_dict()) == before
 
     def test_serialization_round_trip(self, overlap_group):
-        summary = aggregate_metrics(
+        summary = summarize(
             [metrics_of(make_overlap_group(step=3)), metrics_of(make_trivial_group())]
         )
         doc = json.loads(json.dumps(summary.to_mergeable_dict()))
@@ -184,7 +187,7 @@ class TestAggregate:
 
     def test_zero_length_counted(self):
         group = group_from_sequences("z", [(), (1,)], [0.0, 1.0])
-        summary = aggregate_metrics([metrics_of(group)])
+        summary = summarize([metrics_of(group)])
         assert summary.zero_length_count == 1
 
     def test_per_step_series(self):
@@ -193,7 +196,7 @@ class TestAggregate:
             metrics_of(make_overlap_group(step=1)),
             metrics_of(make_overlap_group(step=2)),
         ]
-        summary = aggregate_metrics(stream)
+        summary = summarize(stream)
         assert set(summary.per_step) == {1, 2}
         assert summary.per_step[1].group_count == 2
         assert summary.per_step[2].to_dict()["mean_proportion"] == pytest.approx(

@@ -11,7 +11,7 @@ ConfigurationError DEFAULT_BETA DEFAULT_EPSILON DEFAULT_TOL GRPO GenParams Group
 GroupMetrics IDENTITY_TOL LAMBDA MetricsSummary ObjectiveConfig ObjectiveReport
 POPULATION PRM ProcessNode ProcessTree RewardStats SAMPLE SimConfig
 TokenAssignment TokenTerms ToyEnv ToyPolicy Trajectory VerificationReport
-aggregate_metrics analytic_gradient assign_tokens build_process_tree derive_group
+analytic_gradient assign_tokens build_process_tree derive_group
 exploitation_scenario export_tree finite_diff_check generate_random_group
 group_from_sequences group_metrics is_trivial lambda_weights node_gradient
 objective_grpo objective_lambda objective_prm one_step_comparison
@@ -21,7 +21,7 @@ step_advantages step_rewards token_terms verify_equivalence verify_proof_identit
 
 
 def test_public_names_are_unchanged_and_resolve():
-    assert len(PUBLIC_NAMES) == 54
+    assert len(PUBLIC_NAMES) == 53
     assert steptree.__all__ == sorted(PUBLIC_NAMES)
     namespace: dict = {}
     exec("from steptree import *", namespace)

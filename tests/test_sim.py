@@ -53,15 +53,14 @@ class TestPolicy:
         policy = ToyPolicy(vocab_size=5, temperature=0.7)
         policy.ensure_context((1, 2))[3] = 2.5
         for ctx in ((), (1, 2), (4, 4, 4, 4)):
-            probs = policy.probs(ctx)
+            probs = policy.softmax(ctx)[0]
             assert abs(math.fsum(probs) - 1.0) < 1e-12
             assert all(p > 0 for p in probs)
 
     def test_logprobs_match_probs(self):
         policy = ToyPolicy(vocab_size=4, temperature=2.0)
         policy.ensure_context((0,))[1] = -1.0
-        probs = policy.probs((0,))
-        logps = policy.softmax((0,))[1]
+        probs, logps = policy.softmax((0,))
         for p, lp in zip(probs, logps):
             assert lp <= 0.0 or p > 1.0 - 1e-12
             assert math.exp(lp) == pytest.approx(p, rel=1e-12)
@@ -389,7 +388,6 @@ def test_softmax_halves_are_bitwise_the_separate_forms():
         for c in (ctx, ()):
             probs, logps = policy.softmax(c)
             expected = separate_softmax(policy, c)
-            assert [x.hex() for x in policy.probs(c)] == [x.hex() for x in probs]
             last = [policy.sequence_logps(c + (t,))[-1] for t in range(vocab)]
             assert [x.hex() for x in last] == [x.hex() for x in logps]
             assert [x.hex() for x in probs] == [x.hex() for x in expected[0]]
@@ -495,6 +493,6 @@ def test_draw_past_the_last_running_sum_takes_the_last_token(monkeypatch):
     # ten probabilities of 0.1 sum to 1 - 2**-53, so the top draw passes them all
     monkeypatch.setattr(steptree.sim, "random", SimpleNamespace(Random=TopDraw))
     policy = ToyPolicy(vocab_size=10, horizon=2, context_order=0)
-    assert list(accumulate(policy.probs(())))[-1] == TopDraw(0).random()
+    assert list(accumulate(policy.softmax(())[0]))[-1] == TopDraw(0).random()
     group = rollout_group(policy, ToyEnv(reward_table={}, max_len=2), k=2, seed=0)
     assert [t.tokens for t in group.trajectories] == [(9, 9), (9, 9)]

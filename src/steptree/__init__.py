@@ -16,15 +16,14 @@ _EXPORTS = {
     "objectives": """DEFAULT_BETA ConfigurationError GRPO LAMBDA ObjectiveConfig
         ObjectiveReport PRM TokenTerms lambda_weights objective_grpo
         objective_lambda objective_prm token_terms""",
-    "rewards": "step_advantages step_rewards",
+    "rewards": "GroupDerivation step_advantages step_rewards",
     "sim": """SimConfig ToyEnv ToyPolicy analytic_gradient exploitation_scenario
         finite_diff_check node_gradient one_step_comparison rollout_group
         run_experiment""",
     "tree": """ProcessNode ProcessTree TokenAssignment assign_tokens
         build_process_tree export_tree is_trivial""",
-    "verify": """GenParams IDENTITY_TOL VerificationReport derive_group
-        generate_random_group run_verification verify_proof_identities
-        verify_equivalence""",
+    "verify": """GenParams IDENTITY_TOL VerificationReport generate_random_group
+        run_verification verify_proof_identities verify_equivalence""",
 }
 
 # public name -> the module that defines it

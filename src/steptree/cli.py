@@ -17,25 +17,9 @@ import sys
 from contextlib import contextmanager, suppress
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO
 
-from .core import (
-    DEFAULT_EPSILON,
-    DEFAULT_TOL,
-    Group,
-    POPULATION,
-    SAMPLE,
-    check_nonnegative,
-    outcome_advantages,
-    reward_stats,
-)
-from .objectives import (
-    DEFAULT_BETA,
-    GRPO,
-    LAMBDA,
-    objective_grpo,
-    objective_lambda,
-    token_terms,
-)
-from .tree import DOT, EXPORT_FORMATS, assign_tokens, build_process_tree, export_tree
+from .core import DEFAULT_EPSILON, DEFAULT_TOL, Group, POPULATION, SAMPLE, check_nonnegative
+from .objectives import DEFAULT_BETA, GRPO, LAMBDA, objective_grpo, objective_lambda
+from .tree import DOT, EXPORT_FORMATS, build_process_tree, export_tree
 
 if TYPE_CHECKING:
     from .sim import SimConfig, ToyEnv, ToyPolicy
@@ -285,21 +269,25 @@ def _csv_cell(value) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .io import CSV_COLUMNS, effective_config
     from .metrics import MetricsSummary, group_metrics
+    from .rewards import GroupDerivation
 
     summary = MetricsSummary()
     with _open_out(args.csv) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for group in _read_groups(args.input, args.strict):
-            tree = build_process_tree(group)
-            metrics = group_metrics(tree, group)
+            derived = GroupDerivation(
+                group, [effective_config(group, args.beta)], args.std, args.eps
+            )
+            metrics = group_metrics(derived.tree, group)
             summary.add(metrics)
-            stats = reward_stats(group, args.std, args.eps)
-            advantages = outcome_advantages(group, stats)
-            terms = token_terms(group, effective_config(group, args.beta))
-            assignment = assign_tokens(tree)
-            value_grpo = objective_grpo(group, advantages, terms).value
-            value_lambda = objective_lambda(group, assignment, advantages, terms).value
+            # each report is dropped once its value is read, so the two
+            # per-token term tables are never held at once
+            (terms,) = derived.terms
+            value_grpo = objective_grpo(group, derived.advantages, terms).value
+            value_lambda = objective_lambda(
+                group, derived.assignment, derived.advantages, terms
+            ).value
             writer.writerow(
                 _csv_cell(v)
                 for v in (
@@ -352,8 +340,8 @@ def _print_report(name: str, report: Optional[VerificationReport]) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.random is None and args.input is None:
-        print("verify needs an input file or --random N", file=sys.stderr)
+    if (args.random is None) == (args.input is None):
+        print("verify needs exactly one of an input file and --random N", file=sys.stderr)
         return 2
     from .io import RecordError, effective_config, iter_groups
     from .verify import (

@@ -136,10 +136,6 @@ class Group:
     def total_tokens(self) -> int:
         return sum(len(t) for t in self.trajectories)
 
-    @property
-    def max_len(self) -> int:
-        return max(len(t) for t in self.trajectories)
-
 
 @dataclass(frozen=True)
 class RewardStats:

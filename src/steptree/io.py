@@ -11,17 +11,9 @@ import json
 from dataclasses import replace
 from typing import Iterable, Iterator, Optional, TextIO
 
-from .core import DEFAULT_EPSILON, Group, SAMPLE, Trajectory, outcome_advantages, reward_stats
-from .objectives import (
-    GRPO,
-    LAMBDA,
-    ObjectiveConfig,
-    objective_grpo,
-    objective_lambda,
-    token_terms,
-)
-from .rewards import node_advantages
-from .tree import assign_tokens, build_process_tree
+from .core import DEFAULT_EPSILON, Group, SAMPLE, Trajectory
+from .objectives import GRPO, LAMBDA, ObjectiveConfig
+from .rewards import GroupDerivation
 
 CSV_COLUMNS = (
     "query_id",
@@ -165,23 +157,15 @@ def _weight_parts(
     advantages and 1/size weights, and token assignment; both formats read it."""
     if objective not in (GRPO, LAMBDA):
         raise ValueError(f"objective must be '{GRPO}' or '{LAMBDA}'")
-    stats = reward_stats(group, std_mode, epsilon)
-    advantages = outcome_advantages(group, stats)
-    tree = build_process_tree(group)
-    assignment = assign_tokens(tree)
-    terms = token_terms(group, effective_config(group, beta))
-    if objective == GRPO:
-        report = objective_grpo(group, advantages, terms)
-    else:
-        report = objective_lambda(group, assignment, advantages, terms)
+    derived = GroupDerivation(group, [effective_config(group, beta)], std_mode, epsilon)
+    (report,) = derived.grpo if objective == GRPO else derived.lam
     head: dict = {"query_id": group.query_id, "objective": objective}
     if group.step is not None:
         head["step"] = group.step
     head["objective_value"] = report.value
     head["loss"] = report.loss
-    node_weights = [1.0 / node.size for node in tree.nodes]
-    node_adv = node_advantages(tree, group, stats)
-    return head, advantages, node_adv, node_weights, assignment
+    node_weights = [1.0 / node.size for node in derived.tree.nodes]
+    return head, derived.advantages, derived.node_advantages, node_weights, derived.assignment
 
 
 def weight_record(

@@ -1,4 +1,5 @@
-"""Monte-Carlo step rewards and step-level advantages.
+"""Monte-Carlo step rewards, step-level advantages, and the per-group
+derivation every objective is built from.
 
 The step reward of a process set is the mean outcome reward of its members,
 i.e. the Monte-Carlo estimate from the sampled completions of that step.
@@ -10,9 +11,14 @@ statistics).
 from __future__ import annotations
 
 import math
+from functools import cached_property
+from typing import Sequence
 
-from .core import Group, RewardStats, normalized_advantage
-from .tree import ProcessTree, TokenAssignment
+from .core import DEFAULT_EPSILON, Group, RewardStats, SAMPLE, normalized_advantage
+from .core import outcome_advantages, reward_stats
+from .objectives import ObjectiveConfig, ObjectiveReport, TokenTerms
+from .objectives import objective_grpo, objective_lambda, token_terms
+from .tree import ProcessTree, TokenAssignment, assign_tokens, build_process_tree
 
 
 def step_rewards(tree: ProcessTree, group: Group) -> tuple[float, ...]:
@@ -46,3 +52,52 @@ def step_advantages(
     owning set instead.
     """
     return tuple(map(tuple, assignment.rows(node_advantages(tree, group, stats))))
+
+
+class GroupDerivation:
+    """What the objectives of one group are built from, each derived once.
+
+    ``stats`` and the outcome ``advantages`` are computed here. The
+    ``tree``, its token ``assignment``, the per-node step advantages
+    (``node_advantages``, indexed by node id) and, one per config in
+    ``configs``, the token ``terms`` and the ``grpo`` and ``lam`` reports
+    are computed on first read, so a caller pays only for what it reads.
+    """
+
+    def __init__(
+        self,
+        group: Group,
+        configs: Sequence[ObjectiveConfig],
+        std_mode: str = SAMPLE,
+        epsilon: float = DEFAULT_EPSILON,
+    ):
+        self.group = group
+        self.configs = tuple(configs)
+        self.stats = reward_stats(group, std_mode, epsilon)
+        self.advantages = outcome_advantages(group, self.stats)
+
+    @cached_property
+    def tree(self) -> ProcessTree:
+        return build_process_tree(self.group)
+
+    @cached_property
+    def assignment(self) -> TokenAssignment:
+        return assign_tokens(self.tree)
+
+    @cached_property
+    def node_advantages(self) -> tuple[float, ...]:
+        # the module-level function: a method body does not see class names
+        return node_advantages(self.tree, self.group, self.stats)
+
+    @cached_property
+    def terms(self) -> tuple[TokenTerms, ...]:
+        return tuple([token_terms(self.group, config) for config in self.configs])
+
+    @cached_property
+    def grpo(self) -> tuple[ObjectiveReport, ...]:
+        return tuple([objective_grpo(self.group, self.advantages, t) for t in self.terms])
+
+    @cached_property
+    def lam(self) -> tuple[ObjectiveReport, ...]:
+        args = (self.group, self.assignment, self.advantages)
+        return tuple([objective_lambda(*args, t) for t in self.terms])

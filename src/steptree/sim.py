@@ -21,26 +21,10 @@ from functools import cache
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-from .core import (
-    DEFAULT_EPSILON,
-    Group,
-    SAMPLE,
-    STD_MODES,
-    Trajectory,
-    check_nonnegative,
-    outcome_advantages,
-    reward_stats,
-)
-from .objectives import (
-    GRPO,
-    LAMBDA,
-    ObjectiveConfig,
-    lambda_weights,
-    objective_grpo,
-    objective_lambda,
-    token_terms,
-)
-from .tree import ProcessNode, assign_tokens, build_process_tree
+from .core import DEFAULT_EPSILON, Group, SAMPLE, STD_MODES, Trajectory, check_nonnegative
+from .objectives import GRPO, LAMBDA, ObjectiveConfig, lambda_weights
+from .rewards import GroupDerivation
+from .tree import ProcessNode
 
 Context = tuple[int, ...]
 GradientTable = dict[Context, list[float]]
@@ -221,10 +205,10 @@ def rollout_group(
     return Group(query_id=query_id, trajectories=tuple(trajectories))
 
 
-def _token_weights(group: Group, objective: str) -> list[list[float]]:
+def _token_weights(derived: GroupDerivation, objective: str) -> list[list[float]]:
     if objective == GRPO:
-        return [[1.0] * len(t) for t in group.trajectories]
-    return lambda_weights(assign_tokens(build_process_tree(group)))
+        return [[1.0] * len(t) for t in derived.group.trajectories]
+    return lambda_weights(derived.assignment)
 
 
 def _score_sum(
@@ -289,11 +273,10 @@ def node_gradient(
     divided once by the set size; the two objectives' restricted gradients
     therefore differ by exactly that factor, coordinate by coordinate.
     """
-    stats = reward_stats(group, config.std_mode, config.epsilon)
+    derived = GroupDerivation(group, (), config.std_mode, config.epsilon)
     spans = ((i, node.span_start, node.span_end) for i in node.members)
-    advantages = outcome_advantages(group, stats)
-    units = _token_weights(group, GRPO)
-    gradient = _score_sum(policy, group, spans, advantages, units)
+    units = _token_weights(derived, GRPO)
+    gradient = _score_sum(policy, group, spans, derived.advantages, units)
     if objective == LAMBDA:
         size = node.size
         for grad in gradient.values():
@@ -355,9 +338,9 @@ def finite_diff_check(
     """
     if not 1e-6 <= h <= 1e-3:
         raise ValueError("h must be in [1e-6, 1e-3]")
-    stats = reward_stats(group, config.std_mode, config.epsilon)
-    advantages = outcome_advantages(group, stats)
-    weights = _token_weights(group, objective)
+    derived = GroupDerivation(group, (), config.std_mode, config.epsilon)
+    advantages = derived.advantages
+    weights = _token_weights(derived, objective)
     analytic = analytic_gradient(policy, group, advantages, weights)
     total = group.total_tokens
     magnitudes = [abs(w * a) for a, row in zip(advantages, weights) for w in row]
@@ -449,19 +432,12 @@ def run_experiment(
         group = rollout_group(
             policy, env, config.k, seed=f"{config.seed}:{step}", query_id=f"sim-{step}"
         )
-        stats = reward_stats(group, config.std_mode, config.epsilon)
-        advantages = outcome_advantages(group, stats)
-        terms = token_terms(group, obj_config)
-        if config.objective == GRPO:
-            weights = _token_weights(group, GRPO)
-            value = objective_grpo(group, advantages, terms).value
-        else:
-            assignment = assign_tokens(build_process_tree(group))
-            weights = lambda_weights(assignment)
-            value = objective_lambda(group, assignment, advantages, terms).value
+        derived = GroupDerivation(group, [obj_config], config.std_mode, config.epsilon)
+        weights = _token_weights(derived, config.objective)
+        (report,) = derived.grpo if config.objective == GRPO else derived.lam
         best_prob = sequence_probability(policy, best) if best is not None else 0.0
-        records.append(SimStepRecord(step, expected_reward(policy, env), best_prob, value))
-        gradient = analytic_gradient(policy, group, advantages, weights)
+        records.append(SimStepRecord(step, expected_reward(policy, env), best_prob, report.value))
+        gradient = analytic_gradient(policy, group, derived.advantages, weights)
         policy.apply_gradient(gradient, config.learn_rate)
     return records
 
@@ -551,21 +527,19 @@ def one_step_comparison(
     reported so their exact size-factor relation can be inspected. The
     step size is ``config.learn_rate``.
     """
-    assignment = assign_tokens(build_process_tree(group))
-    stats = reward_stats(group, config.std_mode, config.epsilon)
-    advantages = outcome_advantages(group, stats)
-    weights = {GRPO: _token_weights(group, GRPO), LAMBDA: lambda_weights(assignment)}
+    derived = GroupDerivation(group, (), config.std_mode, config.epsilon)
+    weights = {objective: _token_weights(derived, objective) for objective in OBJECTIVES}
     best_i = max(
         range(group.k), key=lambda i: (group.trajectories[i].reward, -i)
     )
-    node = assignment.owner(best_i, 0)
+    node = derived.assignment.owner(best_i, 0)
     prefix = group.trajectories[best_i].tokens[: node.span_end]
 
     shifts = {}
     for objective in OBJECTIVES:
         candidate = policy.copy()
         before = sequence_probability(candidate, prefix)
-        gradient = analytic_gradient(candidate, group, advantages, weights[objective])
+        gradient = analytic_gradient(candidate, group, derived.advantages, weights[objective])
         candidate.apply_gradient(gradient, config.learn_rate)
         after = sequence_probability(candidate, prefix)
         restricted = node_gradient(policy, group, node, objective, config)

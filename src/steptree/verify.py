@@ -18,35 +18,14 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .core import (
-    DEFAULT_EPSILON,
-    DEFAULT_TOL,
-    Group,
-    RewardStats,
-    SAMPLE,
-    Trajectory,
-    check_nonnegative,
-    group_from_sequences,
-    outcome_advantages,
-    reward_stats,
-)
-from .objectives import (
-    DEFAULT_BETA,
-    GRPO,
-    LAMBDA,
-    PRM,
-    ObjectiveConfig,
-    ObjectiveReport,
-    TokenTerms,
-    objective_grpo,
-    objective_lambda,
-    objective_prm,
-    token_terms,
-)
-from .rewards import node_advantages, step_advantages
-from .tree import ProcessTree, assign_tokens, build_process_tree, is_trivial
+from .core import DEFAULT_EPSILON, DEFAULT_TOL, Group, SAMPLE, Trajectory, check_nonnegative
+from .core import group_from_sequences
+from .objectives import DEFAULT_BETA, GRPO, LAMBDA, PRM, ObjectiveConfig, TokenTerms
+from .objectives import objective_lambda, objective_prm
+from .rewards import GroupDerivation, step_advantages
+from .tree import is_trivial
 
 BERNOULLI = "bernoulli"
 UNIFORM = "uniform"
@@ -298,48 +277,6 @@ class VerificationReport:
         return not self.failures
 
 
-class GroupDerivation(NamedTuple):
-    """The inputs both checks share, derived once per group.
-
-    ``node_advantages`` (the normalized step reward) is indexed by node id;
-    ``terms`` and ``grpo`` hold the token terms and the GRPO report of each
-    config in ``configs``.
-    """
-
-    group: Group
-    configs: tuple[ObjectiveConfig, ...]
-    stats: RewardStats
-    advantages: list[float]
-    tree: ProcessTree
-    node_advantages: tuple[float, ...]
-    terms: tuple[TokenTerms, ...]
-    grpo: tuple[ObjectiveReport, ...]
-
-
-def derive_group(
-    group: Group,
-    configs: Sequence[ObjectiveConfig],
-    std_mode: str = SAMPLE,
-    epsilon: float = DEFAULT_EPSILON,
-) -> GroupDerivation:
-    """Derive the stats, tree and per-config terms the checks read."""
-    configs = tuple(configs)
-    stats = reward_stats(group, std_mode, epsilon)
-    advantages = outcome_advantages(group, stats)
-    tree = build_process_tree(group)
-    terms = tuple(token_terms(group, config) for config in configs)
-    return GroupDerivation(
-        group=group,
-        configs=configs,
-        stats=stats,
-        advantages=advantages,
-        tree=tree,
-        node_advantages=node_advantages(tree, group, stats),
-        terms=terms,
-        grpo=tuple(objective_grpo(group, advantages, t) for t in terms),
-    )
-
-
 def _worst(derived: GroupDerivation, gaps: Sequence[tuple]) -> VerificationEntry:
     """Entry of the config with the largest relative gap, and the largest abs gap.
 
@@ -422,8 +359,7 @@ def verify_proof_identities(derived: GroupDerivation) -> VerificationEntry:
     entry of the config with the worst relative gap is returned, naming
     the check that gap came from.
     """
-    group, tree = derived.group, derived.tree
-    assignment = assign_tokens(tree)
+    group, tree, assignment = derived.group, derived.tree, derived.assignment
     steps = step_advantages(tree, assignment, group, derived.stats)
     shared = [
         (n.members, ahat, n.span_start, n.span_end)
@@ -500,7 +436,7 @@ def check_group(
     check_identities: bool = True,
 ) -> tuple[VerificationEntry, Optional[VerificationEntry]]:
     """The equivalence entry of one group and, unless disabled, its identity entry."""
-    derived = derive_group(group, configs, std_mode, epsilon)
+    derived = GroupDerivation(group, configs, std_mode, epsilon)
     identities = verify_proof_identities(derived) if check_identities else None
     return verify_equivalence(derived), identities
 

@@ -2,13 +2,24 @@ import csv
 import importlib
 import inspect
 import json
+import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from steptree import Group, Trajectory, group_from_sequences, verify
+from steptree import (
+    Group,
+    GroupDerivation,
+    ToyEnv,
+    ToyPolicy,
+    Trajectory,
+    group_from_sequences,
+    lambda_weights,
+    rollout_group,
+    verify,
+)
 from steptree.cli import main
 from steptree.io import serialize_group
 from steptree.verify import (
@@ -335,8 +346,13 @@ class TestVerify:
         assert outputs["with-verify"] == 1
         assert outputs["without-verify"] == 0
 
-    def test_needs_input_or_random(self, capsys):
-        assert main(["verify"]) == 2
+    def test_needs_input_or_random(self, tmp_path, capsys):
+        # neither a file nor --random N, or both; the file is never opened
+        for args in ([], [str(tmp_path / "missing.jsonl"), "--random", "2"]):
+            assert main(["verify", *args]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
 
     def test_negative_random_count_is_an_error(self, capsys):
         assert main(["verify", "--random", "-5", "--skip-identities"]) == 1
@@ -783,6 +799,44 @@ class TestSimulate:
         blocks = README.read_text(encoding="utf-8").split("```ini\n")[1:]
         assert blocks[1].split("```")[0] == LEARNING
 
+    def test_readme_size_correction_sweep(self, tmp_path):
+        # the README's table: the LEARNING config for 40 steps, seeds 0-11
+        readme = README.read_text(encoding="utf-8")
+        config, out = tmp_path / "sim.cfg", tmp_path / "out.csv"
+        sweep = (("grpo", 0.5), ("lambda", 0.5), ("grpo", 1.0), ("lambda", 2.0), ("lambda", 4.0))
+        for objective, learn_rate in sweep:
+            firsts, finals = [], []
+            for seed in range(12):
+                text = LEARNING.replace("seed = 5", f"seed = {seed}")
+                text = text.replace("steps = 20", "steps = 40")
+                text = text.replace("objective = lambda", f"objective = {objective}")
+                config.write_text(text + f"learn_rate = {learn_rate}\n", encoding="utf-8")
+                assert main(["simulate", str(config), "-o", str(out)]) == 0
+                with out.open(encoding="utf-8") as handle:
+                    rewards = [float(row["expected_reward"]) for row in csv.DictReader(handle)]
+                firsts.append(next((t for t, r in enumerate(rewards) if r >= 0.6), None))
+                finals.append(rewards[-1])
+            if None in firsts:
+                assert set(firsts) == {None}
+                step = "not reached"
+            else:
+                step = f"{statistics.median(firsts):g} ({min(firsts)}–{max(firsts)})"
+            final = statistics.median(finals)
+            assert f"| `{objective}` | {learn_rate} | {step} | {final:.3f} |" in readme
+        # and its reading: at step 0 the mean weight per token is 0.74 (median
+        # over seeds), and the first tokens' weights average exactly 1/4
+        policy = ToyPolicy(vocab_size=4, horizon=12)
+        table = {(3,): 1.0, (0, 3): 0.5, (1, 1, 3): 0.25, (2, 0, 1, 3): 0.75}
+        env = ToyEnv(reward_table=table, max_len=12, terminal_token=3)
+        means = []
+        for seed in range(12):
+            group = rollout_group(policy, env, 16, seed=f"{seed}:0")  # run_experiment's step 0
+            weights = lambda_weights(GroupDerivation(group, ()).assignment)
+            assert {t.tokens[0] for t in group.trajectories} == {0, 1, 2, 3}
+            assert sum(row[0] for row in weights) / 16 == pytest.approx(0.25, abs=1e-12)
+            means.append(statistics.mean(w for row in weights for w in row))
+        assert round(statistics.median(means), 2) == 0.74
+
 
 def test_readme_quick_tour_runs():
     # every name the tour uses must still exist in the package
@@ -1074,6 +1128,43 @@ def traced_calls(tmp_path, args: list[str]) -> dict[str, int]:
     assert result.returncode == 0, result.stderr
     layers = json.loads(spans.read_text(encoding="utf-8"))["layers"]
     return {name: entry["calls"] for name, entry in layers.items()}
+
+
+# spans of the step advantages and the three objectives, which a command
+# computes only if it reads them
+OBJECTIVE_SPANS = (
+    "rewards.step_advantages",
+    "objectives.objective_grpo",
+    "objectives.objective_prm",
+    "objectives.objective_lambda",
+)
+
+
+@pytest.mark.parametrize(
+    "args, reads",
+    [
+        (["analyze"], {"objectives.objective_grpo", "objectives.objective_lambda"}),
+        (["weights", "--objective", "lambda"], {"objectives.objective_lambda"}),
+        (["weights", "--objective", "grpo"], {"objectives.objective_grpo"}),
+        (["verify"], set(OBJECTIVE_SPANS)),
+    ],
+)
+def test_each_command_computes_only_what_it_reads(tmp_path, args, reads):
+    n = 4
+    params = GenParams(seed=22, fork_bias=0.7, logp_mode=LOGP_RANDOM_CONSISTENT)
+    path = tmp_path / "groups.jsonl"
+    write_dump(path, [generate_random_group(params, i) for i in range(n)])
+    command, *options = args
+    calls = traced_calls(tmp_path, [command, str(path), *options])
+    expected = {
+        "core.reward_stats": n,
+        "core.outcome_advantages": n,
+        "tree.build_process_tree": n,
+        "tree.assign_tokens": n,
+        "objectives.ratio_kl": 2 * n,
+        **{span: n if span in reads else 0 for span in OBJECTIVE_SPANS},
+    }
+    assert {span: calls.get(span, 0) for span in expected} == expected
 
 
 def test_traced_mode_sees_calls_bound_at_call_time(tmp_path, dump):

@@ -11,7 +11,7 @@ ConfigurationError DEFAULT_BETA DEFAULT_EPSILON DEFAULT_TOL GRPO GenParams Group
 GroupMetrics IDENTITY_TOL LAMBDA MetricsSummary ObjectiveConfig ObjectiveReport
 POPULATION PRM ProcessNode ProcessTree RewardStats SAMPLE SimConfig
 TokenAssignment TokenTerms ToyEnv ToyPolicy Trajectory VerificationReport
-analytic_gradient assign_tokens build_process_tree derive_group
+GroupDerivation analytic_gradient assign_tokens build_process_tree
 exploitation_scenario export_tree finite_diff_check generate_random_group
 group_from_sequences group_metrics is_trivial lambda_weights node_gradient
 objective_grpo objective_lambda objective_prm one_step_comparison
@@ -71,6 +71,8 @@ def dump(tmp_path):
         ("analyze", {"steptree.sim", "steptree.verify"}),
         ("weights", {"steptree.sim", "steptree.verify"}),
         ("simulate", {"steptree.verify", "steptree.metrics"}),
+        ("verify", {"steptree.sim", "steptree.metrics"}),
+        ("tree", {"steptree.sim", "steptree.verify", "steptree.metrics"}),
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, dump, command, absent):
@@ -84,6 +86,10 @@ def test_each_command_loads_only_its_modules(tmp_path, dump, command, absent):
         args = ["simulate", str(config), "-o", out]
     elif command == "analyze":
         args = ["analyze", str(dump), "--csv", out, "--summary", out + ".json"]
+    elif command == "verify":
+        args = ["verify", str(dump)]
+    elif command == "tree":
+        args = ["tree", str(dump), "--group-id", "overlap", "-o", out]
     else:
         args = ["weights", str(dump), "--objective", "lambda", "-o", out]
     loaded = loaded_modules(args)

@@ -59,7 +59,7 @@ class TestStepReward:
         for index in range(40):
             group = generate_random_group(params, index)
             tree = build_process_tree(group)
-            for t in range(group.max_len):
+            for t in range(max(map(len, group.trajectories))):
                 weighted = math.fsum(
                     n.size * step_reward(n, group) for n in partition_at(tree, t)
                 )

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import steptree.rewards
 import steptree.sim
 from steptree import (
     Group,
@@ -337,16 +338,20 @@ class TestExperiment:
 
 @pytest.fixture
 def derivations(monkeypatch):
-    """Calls of ``build_process_tree`` and ``reward_stats`` made by ``sim``."""
+    """Calls of ``build_process_tree`` and ``reward_stats`` made by ``sim``,
+    directly or through the group derivation in ``rewards``."""
     counts = {"build_process_tree": 0, "reward_stats": 0}
-    for name in counts:
-        original = getattr(steptree.sim, name)
+    for module in (steptree.sim, steptree.rewards):
+        for name in counts:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(steptree.sim, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return counts
 
 

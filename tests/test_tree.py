@@ -257,7 +257,7 @@ class TestPartition:
         for index in range(30):
             group = generate_random_group(params, index)
             tree = build_process_tree(group)
-            for t in range(group.max_len):
+            for t in range(max(map(len, group.trajectories))):
                 nodes = partition_at(tree, t)
                 seen: set[int] = set()
                 for node in nodes:

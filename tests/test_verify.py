@@ -4,12 +4,12 @@ import pytest
 
 from steptree import (
     GRPO,
+    GroupDerivation,
     LAMBDA,
     PRM,
     ObjectiveConfig,
     TokenTerms,
     build_process_tree,
-    derive_group,
     group_from_sequences,
     is_trivial,
     verify_proof_identities,
@@ -128,14 +128,14 @@ class TestGenerator:
 
 class TestEquivalence:
     def test_overlap_gap_within_tolerance(self, overlap_group):
-        entry = verify_equivalence(derive_group(overlap_group, [UNIT]))
+        entry = verify_equivalence(GroupDerivation(overlap_group, [UNIT]))
         assert entry.abs_gap < 1e-12
         assert entry.rel_gap < 1e-12
         assert not entry.trivial
 
     def test_trivial_group_gap_exactly_zero(self, trivial_group):
         # identical term multisets on both paths, and fsum is exact
-        entry = verify_equivalence(derive_group(trivial_group, [UNIT]))
+        entry = verify_equivalence(GroupDerivation(trivial_group, [UNIT]))
         assert entry.abs_gap == 0.0
         assert entry.trivial
 
@@ -163,8 +163,8 @@ class TestEquivalence:
         )
         group = generate_random_group(params, 0)
         assert group.total_tokens > 4096
-        assert verify_equivalence(derive_group(group, [FULL])).rel_gap <= 1e-12
-        assert verify_proof_identities(derive_group(group, [FULL])).rel_gap <= 1e-12
+        assert verify_equivalence(GroupDerivation(group, [FULL])).rel_gap <= 1e-12
+        assert verify_proof_identities(GroupDerivation(group, [FULL])).rel_gap <= 1e-12
 
     def test_inconsistent_logps_break_equivalence(self):
         # two completions share their first token but disagree on its
@@ -180,7 +180,7 @@ class TestEquivalence:
             ),
         )
         config = ObjectiveConfig(beta=0.0, assume_unit_ratio=False)
-        entry = verify_equivalence(derive_group(group, [config]))
+        entry = verify_equivalence(GroupDerivation(group, [config]))
         assert entry.rel_gap > 1e-6
 
 
@@ -191,8 +191,8 @@ class TestConfigSweep:
         params = GenParams(seed=20, fork_bias=0.8, logp_mode=LOGP_RANDOM_CONSISTENT)
         for index in range(10):
             group = generate_random_group(params, index)
-            singles = [check(derive_group(group, [config])) for config in configs]
-            swept = check(derive_group(group, configs))
+            singles = [check(GroupDerivation(group, [config])) for config in configs]
+            swept = check(GroupDerivation(group, configs))
             assert swept.query_id == group.query_id
             assert swept.rel_gap == max(e.rel_gap for e in singles)
             assert swept.abs_gap == max(e.abs_gap for e in singles)
@@ -203,22 +203,22 @@ class TestConfigSweep:
 
 class TestIdentities:
     def test_overlap(self, overlap_group):
-        entry = verify_proof_identities(derive_group(overlap_group, [UNIT]))
+        entry = verify_proof_identities(GroupDerivation(overlap_group, [UNIT]))
         assert entry.rel_gap < 1e-12
 
     def test_overlap_with_ratio_and_kl(self, overlap_group_logps):
-        entry = verify_proof_identities(derive_group(overlap_group_logps, [FULL]))
+        entry = verify_proof_identities(GroupDerivation(overlap_group_logps, [FULL]))
         assert entry.rel_gap < 1e-12
 
     def test_degenerate_cases(self):
         for group in degenerate_groups(with_logps=True):
             for config in (UNIT, FULL):
-                entry = verify_proof_identities(derive_group(group, [config]))
+                entry = verify_proof_identities(GroupDerivation(group, [config]))
                 assert entry.rel_gap < 1e-12, group.query_id
 
     def test_constant_rewards_kl_side_still_checked(self):
         group = [g for g in degenerate_groups(True) if "constant" in g.query_id][0]
-        entry = verify_proof_identities(derive_group(group, [FULL]))
+        entry = verify_proof_identities(GroupDerivation(group, [FULL]))
         assert entry.rel_gap < 1e-12
         # advantage side is all zero; the value reduces to the KL part
         assert entry.value_a < 0.0
@@ -234,11 +234,10 @@ class TestIdentities:
         groups.append(group_from_sequences("chain", [[1] * (j + 1) for j in range(30)], [0.0] * 30))
         groups.append(group_from_sequences("all-empty", [(), ()], [0.0, 1.0]))
         for group in groups:
-            derived = derive_group(group, [UNIT])
+            derived = GroupDerivation(group, [UNIT])
             tree = derived.tree
-            derived = derived._replace(
-                advantages=[1.0] * group.k, node_advantages=(1.0,) * len(tree.nodes)
-            )
+            derived.advantages = [1.0] * group.k
+            derived.node_advantages = (1.0,) * len(tree.nodes)
             zeros = [[0.0] * len(traj) for traj in group.trajectories]
             for kind in (GRPO, PRM, LAMBDA):
                 assert _node_major_value(derived, TokenTerms(zeros, zeros, 0.0), kind) == 0.0
@@ -262,7 +261,7 @@ class TestReport:
         params = GenParams(seed=18, fork_bias=0.9, logp_mode=LOGP_RANDOM_CONSISTENT)
         for index in range(5):
             group = generate_random_group(params, index)
-            entry = verify_equivalence(derive_group(group, [FULL]))
+            entry = verify_equivalence(GroupDerivation(group, [FULL]))
             report.record(entry)
         assert not report.passed
         assert all(entry.rel_gap > 1e-30 for entry in report.failures)

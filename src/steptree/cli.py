@@ -129,25 +129,6 @@ def _open_out(path: str) -> Iterator[TextIO]:
             yield handle
 
 
-def _print_skipped(errors: list) -> None:
-    if errors:
-        print(f"skipped {len(errors)} malformed line(s)", file=sys.stderr)
-        for err in errors[:5]:
-            print(f"  {err}", file=sys.stderr)
-
-
-def _read_groups(path: str, strict: bool) -> Iterator[Group]:
-    from .io import RecordError, iter_groups
-
-    errors: list[RecordError] = []
-    # the notice also covers lines skipped before a caller stops reading early
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            yield from iter_groups(handle, strict=strict, errors=errors)
-    finally:
-        _print_skipped(errors)
-
-
 # a verify FILE smaller than this is checked in one process
 _FAN_OUT_MIN_BYTES = 1 << 20
 
@@ -256,6 +237,42 @@ def _dump_lines(path: str) -> Iterator[tuple[int, str]]:
                 yield line_no, line
 
 
+def _read_groups(
+    path: str, strict: bool, work: Callable = lambda group: group, mapper: Callable = map
+) -> Iterator:
+    """``work(group)`` for each group of the dump at ``path``, in file order.
+
+    Each line is parsed where ``mapper`` runs ``work``, so a forked child of
+    ``_fan_out`` parses its own share. A malformed line is an error under
+    ``strict``, else skipped and named on stderr once the reading ends.
+    """
+    from .io import RecordError, iter_groups
+
+    def parse(numbered: tuple[int, str]) -> tuple:
+        line_no, line = numbered
+        try:
+            group = next(iter_groups([line]))
+        except RecordError as err:
+            # its number and message: pickle cannot rebuild a RecordError
+            return (line_no, err.message), None
+        return None, work(group)
+
+    skipped: list[RecordError] = []
+    try:
+        for malformed, result in mapper(parse, _dump_lines(path)):
+            if malformed is None:
+                yield result
+            elif strict:
+                raise RecordError(*malformed)
+            else:
+                skipped.append(RecordError(*malformed))
+    finally:
+        if skipped:
+            print(f"skipped {len(skipped)} malformed line(s)", file=sys.stderr)
+            for err in skipped[:5]:
+                print(f"  {err}", file=sys.stderr)
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -343,15 +360,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if (args.random is None) == (args.input is None):
         print("verify needs exactly one of an input file and --random N", file=sys.stderr)
         return 2
-    from .io import RecordError, effective_config, iter_groups
-    from .verify import (
-        GenParams,
-        IDENTITY_TOL,
-        VerificationReport,
-        check_group,
-        run_verification,
-        verification_configs,
-    )
+    from .io import effective_config
+    from .verify import GenParams, check_group, record_checks, run_verification
+    from .verify import verification_configs
 
     if args.random is not None:
         params = GenParams(
@@ -371,36 +382,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             mapper=_mapper(),
         )
     else:
-        equivalence = VerificationReport(tol=args.tol)
-        identities = None if args.skip_identities else VerificationReport(tol=IDENTITY_TOL)
 
-        def check(numbered: tuple[int, str]) -> tuple:
-            # a malformed line comes back as its message, not as a RecordError,
-            # which pickle cannot rebuild
-            line_no, line = numbered
-            try:
-                group = next(iter_groups([line]))
-            except RecordError as err:
-                return line_no, err.message
+        def check(group: Group) -> tuple:
             configs = [effective_config(group, args.beta, assume_unit_ratio=False)]
-            return line_no, check_group(
-                group, configs, args.std, args.eps, not args.skip_identities
-            )
+            return check_group(group, configs, args.std, args.eps, not args.skip_identities)
 
-        errors: list[RecordError] = []
-        try:
-            for line_no, outcome in _mapper(args.input)(check, _dump_lines(args.input)):
-                if isinstance(outcome, str):
-                    if args.strict:
-                        raise RecordError(line_no, outcome)
-                    errors.append(RecordError(line_no, outcome))
-                    continue
-                equivalence_entry, identity_entry = outcome
-                equivalence.record(equivalence_entry)
-                if identities is not None:
-                    identities.record(identity_entry)
-        finally:
-            _print_skipped(errors)
+        checks = _read_groups(args.input, args.strict, check, _mapper(args.input))
+        equivalence, identities = record_checks(checks, args.tol, not args.skip_identities)
     _print_report("equivalence", equivalence)
     _print_report("identities", identities)
     failed = bool(equivalence.failures) or bool(identities and identities.failures)
@@ -411,7 +399,8 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     from .io import weight_line, write_jsonl
 
     settings = (args.objective, args.beta, args.std, args.eps)
-    lines = (weight_line(g, *settings) for g in _read_groups(args.input, args.strict))
+    # rendered inside the reader, so a failing group's error follows the skip notice
+    lines = _read_groups(args.input, args.strict, lambda group: weight_line(group, *settings))
     with _open_out(args.output) as out:
         write_jsonl(lines, out)
     return 0
@@ -421,6 +410,7 @@ def _parse_sim_config(path: str) -> dict:
     """Flat ``key = value`` file; ``reward[1,2] = 0.5`` lines form ``reward[...]``."""
     values: dict = {}
     rewards: dict[tuple[int, ...], float] = {}
+    first_lines: dict = {}  # each key -> its line, reward[...] keys by their sequence
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -430,16 +420,23 @@ def _parse_sim_config(path: str) -> dict:
                 raise ValueError(f"{path}:{line_no}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
+            name = key
             if key.startswith("reward[") and key.endswith("]"):
-                tokens = key[len("reward[") : -1].split(",")
+                inner = key[len("reward[") : -1]
                 try:
-                    rewards[tuple(int(x) for x in tokens if x.strip())] = float(value)
+                    name = tuple(int(x) for x in inner.split(",")) if inner.strip() else ()
+                    rewards[name] = float(value)
                 except ValueError:
                     raise ValueError(
-                        f"{path}:{line_no}: config key {key!r}: bad entry {value!r}"
+                        f"{path}:{line_no}: config key {key!r} = {value!r} does not parse"
                     ) from None
             else:
                 values[key] = value
+            if name in first_lines:
+                raise ValueError(
+                    f"{path}:{line_no}: config key {key!r} repeats line {first_lines[name]}"
+                )
+            first_lines[name] = line_no
     if rewards:
         values["reward[...]"] = rewards
     return values

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .core import DEFAULT_EPSILON, Group, SAMPLE, Trajectory
 from .objectives import GRPO, LAMBDA, ObjectiveConfig
@@ -81,16 +81,10 @@ def parse_group_record(obj: dict) -> Group:
     )
 
 
-def iter_groups(
-    lines: Iterable[str],
-    strict: bool = True,
-    errors: Optional[list[RecordError]] = None,
-) -> Iterator[Group]:
+def iter_groups(lines: Iterable[str]) -> Iterator[Group]:
     """Stream groups from JSONL lines.
 
-    Blank lines are skipped. In strict mode the first malformed line raises
-    RecordError; in lenient mode malformed lines are collected in ``errors``
-    (when given) and skipped.
+    Blank lines are skipped; the first malformed line raises RecordError.
     """
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
@@ -99,12 +93,7 @@ def iter_groups(
             obj = json.loads(line, parse_constant=_reject_constant)
             group = parse_group_record(obj)
         except (ValueError, TypeError, RecursionError) as exc:
-            err = RecordError(line_no, str(exc))
-            if strict:
-                raise err from None
-            if errors is not None:
-                errors.append(err)
-            continue
+            raise RecordError(line_no, str(exc)) from None
         yield group
 
 

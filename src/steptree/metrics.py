@@ -287,10 +287,14 @@ def _typed(value, kind: type, label: str):
 
 
 def _int_key(key: str, label: str) -> int:
+    """``int(key)`` for a key in the ``str(int)`` form ``analyze`` writes, else an error."""
     try:
-        return int(key)
+        value = int(key)
     except ValueError:
-        raise ValueError(f"summary field {label!r} has a non-integer key {_shown(key)}") from None
+        value = None
+    ok = value is not None and str(value) == key  # int() also takes "01", "+1", " 1", "1_0"
+    _require(ok, label, f"has a key that is not a canonical integer: {_shown(key)}")
+    return value
 
 
 def _entry(data: dict, counts: tuple[str, ...], prefix: str = "") -> dict:

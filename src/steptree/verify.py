@@ -441,6 +441,20 @@ def check_group(
     return verify_equivalence(derived), identities
 
 
+def record_checks(
+    checks: Iterable[tuple], tol: float = DEFAULT_TOL, check_identities: bool = True
+) -> tuple[VerificationReport, Optional[VerificationReport]]:
+    """The equivalence report and, unless disabled, the identity report (at
+    ``IDENTITY_TOL``) of ``check_group`` results, recorded in order."""
+    equivalence = VerificationReport(tol=tol)
+    identities = VerificationReport(tol=IDENTITY_TOL) if check_identities else None
+    for equivalence_entry, identity_entry in checks:
+        equivalence.record(equivalence_entry)
+        if identities is not None:
+            identities.record(identity_entry)
+    return equivalence, identities
+
+
 def run_verification(
     params: GenParams,
     n_groups: int,
@@ -463,13 +477,9 @@ def run_verification(
         raise ValueError(f"the number of random groups must be >= 0, got {n_groups}")
     if configs is None:
         configs = verification_configs()
-    needs_logps = any(
-        not c.assume_unit_ratio or c.beta > 0.0 for c in configs
-    )
+    needs_logps = any(not c.assume_unit_ratio or c.beta > 0.0 for c in configs)
     if needs_logps and params.logp_mode != LOGP_RANDOM_CONSISTENT:
         params = replace(params, logp_mode=LOGP_RANDOM_CONSISTENT)
-    equivalence = VerificationReport(tol=tol)
-    identities = VerificationReport(tol=IDENTITY_TOL) if check_identities else None
 
     def check(source):
         if not isinstance(source, Group):
@@ -477,8 +487,4 @@ def run_verification(
         return check_group(source, configs, std_mode, epsilon, check_identities)
 
     sources = chain(degenerate_groups(needs_logps), range(n_groups))
-    for equivalence_entry, identity_entry in mapper(check, sources):
-        equivalence.record(equivalence_entry)
-        if identities is not None:
-            identities.record(identity_entry)
-    return equivalence, identities
+    return record_checks(mapper(check, sources), tol, check_identities)

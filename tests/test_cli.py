@@ -636,6 +636,16 @@ SIM_UNPARSABLE = [
     ("scenario = exploitation\nconcentration = big\n", "concentration"),
     ("reward[1,x] = 1\n", "reward[1,x]"),
     ("reward[1] = abc\n", "reward[1]"),
+    ("reward[1,,2] = 1\n", "reward[1,,2]"),
+    ("reward[1,2,] = 1\n", "reward[1,2,]"),
+]
+# a key given a second time on line 2, and that line's spelling of it;
+# reward[...] keys are compared by their token sequence
+SIM_REPEATED = [
+    ("steps = 2\nsteps = 3\n", "steps"),
+    ("reward[3] = 1\nreward[3] = 0\n", "reward[3]"),
+    ("reward[1,2] = 1\nreward[ 1, 2 ] = 1\n", "reward[ 1, 2 ]"),
+    ("reward[] = 1\nreward[ ] = 1\n", "reward[ ]"),
 ]
 
 
@@ -778,6 +788,15 @@ class TestSimulate:
         assert captured.err.startswith("error:")
         assert f"config key {key!r}" in captured.err
 
+    @pytest.mark.parametrize("text, key", SIM_REPEATED)
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys, text, key):
+        config = tmp_path / "sim.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert main(["simulate", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}:2: config key {key!r} repeats line 1\n"
+
     def test_one_step_without_exploitation_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "sim.cfg"
         config.write_text("mode = one_step\n", encoding="utf-8")
@@ -918,6 +937,30 @@ IMPOSSIBLE_SUMMARIES = {
             per_step_raw={"1": _step_raw(group_count=1, trajectory_count=1)},
         ),
         "'per_step_raw.1.trajectory_count'",
+    ),
+    # int() reads "01" as 1, so step 1 would take the second entry's counts
+    "repeated-step": (
+        _summary_text(
+            group_count=2,
+            trajectory_count=4,
+            depth_hist={"0": 4},
+            proportion_hist={"0": 4},
+            per_step_raw={
+                "1": _step_raw(group_count=1, trajectory_count=2),
+                "01": _step_raw(group_count=1, trajectory_count=2),
+            },
+        ),
+        "'per_step_raw'",
+    ),
+    "non-canonical-histogram-key": (
+        _summary_text(
+            trajectory_count=2, depth_sum=2, depth_hist={"+1": 2}, proportion_hist={"0": 2}
+        ),
+        "'depth_hist'",
+    ),
+    "underscored-histogram-key": (
+        _summary_text(trajectory_count=2, depth_hist={"0": 2}, proportion_hist={"1_0": 2}),
+        "'proportion_hist'",
     ),
 }
 
@@ -1201,7 +1244,9 @@ def malformed_probes(command: str) -> dict[str, tuple[list[str], object]]:
         }
         for n, (text, key) in enumerate(SIM_UNUSABLE):
             texts[f"unusable-{n}-{key}"] = "steps = 2\n" + text
-        for n, (text, key) in enumerate(SIM_NON_FINITE + SIM_UNREAD + SIM_UNPARSABLE):
+        for n, (text, key) in enumerate(
+            SIM_NON_FINITE + SIM_UNREAD + SIM_UNPARSABLE + SIM_REPEATED
+        ):
             texts[f"{n}-{key}"] = text
     elif command == "report":
         texts = {

@@ -78,14 +78,6 @@ class TestParsing:
         assert list(iter_groups([])) == []
         assert list(iter_groups(["", "   ", "\n"])) == []
 
-    def test_lenient_mode_skips_and_counts(self):
-        good = serialize_group(make_overlap_group())
-        errors: list[RecordError] = []
-        groups = list(iter_groups([good, "oops", good], strict=False, errors=errors))
-        assert len(groups) == 2
-        assert len(errors) == 1
-        assert errors[0].line_no == 2
-
     def test_single_completion_rejected(self):
         line = '{"query_id": "x", "completions": [{"tokens": [1], "reward": 0.0}]}'
         with pytest.raises(RecordError, match="two"):

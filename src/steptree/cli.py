@@ -129,8 +129,8 @@ def _open_out(path: str) -> Iterator[TextIO]:
             yield handle
 
 
-# a verify FILE smaller than this is checked in one process
-_FAN_OUT_MIN_BYTES = 1 << 20
+# the fork pays from 24-64 KiB of bare dump and 128-384 KiB with log-probs (BENCH_21.json)
+_FAN_OUT_MIN_BYTES = 1 << 16
 
 
 def _usable_cpus() -> int:
@@ -144,7 +144,7 @@ def _mapper(path: Optional[str] = None) -> Callable:
     """``_fan_out`` when a forked child can take half the work, else ``map``.
 
     That needs ``os.fork``, a single-threaded process, two usable CPUs and,
-    for a file, a regular one of at least ``_FAN_OUT_MIN_BYTES``.
+    for a file, a regular one of at least ``_FAN_OUT_MIN_BYTES`` (64 KiB).
     """
     if path is not None:
         try:
@@ -406,6 +406,13 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
+def _config_int(text: str) -> int:
+    """``int(text)`` in the ``str(int)`` form alone, spaces aside: not ``+1``, ``01``, ``1_0``."""
+    if str(value := int(text)) != text.strip():
+        raise ValueError(text)
+    return value
+
+
 def _parse_sim_config(path: str) -> dict:
     """Flat ``key = value`` file; ``reward[1,2] = 0.5`` lines form ``reward[...]``."""
     values: dict = {}
@@ -424,7 +431,7 @@ def _parse_sim_config(path: str) -> dict:
             if key.startswith("reward[") and key.endswith("]"):
                 inner = key[len("reward[") : -1]
                 try:
-                    name = tuple(int(x) for x in inner.split(",")) if inner.strip() else ()
+                    name = tuple(map(_config_int, inner.split(","))) if inner.strip() else ()
                     rewards[name] = float(value)
                 except ValueError:
                     raise ValueError(
@@ -469,16 +476,16 @@ def _sim_from_config(
         mode = get("mode", "one_step")
     elif scenario == "none":
         policy = ToyPolicy(
-            vocab_size=get("vocab_size", 4, int),
-            horizon=get("horizon", 8, int),
+            vocab_size=get("vocab_size", 4, _config_int),
+            horizon=get("horizon", 8, _config_int),
             temperature=get("temperature", 1.0, float),
-            context_order=get("context_order", 4, int),
+            context_order=get("context_order", 4, _config_int),
         )
         env = ToyEnv(
             reward_table=get("reward[...]", {}, dict),
-            max_len=get("max_len", 8, int),
+            max_len=get("max_len", 8, _config_int),
             terminal_token=get(
-                "terminal_token", None, lambda v: None if v in ("none", "") else int(v)
+                "terminal_token", None, lambda v: None if v in ("none", "") else _config_int(v)
             ),
         )
         group = None
@@ -487,9 +494,9 @@ def _sim_from_config(
         raise ValueError(f"unknown scenario {scenario!r}")
     if mode == "series":
         series = dict(
-            seed=get("seed", 0, int),
-            k=get("k", 6, int),
-            steps=get("steps", 10, int),
+            seed=get("seed", 0, _config_int),
+            k=get("k", 6, _config_int),
+            steps=get("steps", 10, _config_int),
             objective=get("objective", GRPO),
         )
     elif mode == "one_step":
@@ -549,15 +556,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .io import unique_keys
     from .metrics import MetricsSummary
 
     merged = MetricsSummary()
     for path in args.summaries:
         with open(path, "r", encoding="utf-8") as handle:
             try:
-                merged = merged.merge(MetricsSummary.from_dict(json.load(handle)))
-            except RecursionError as exc:  # JSON nested deeper than the decoder goes
+                summary = json.load(handle, object_pairs_hook=unique_keys)
+            except (ValueError, RecursionError) as exc:  # not JSON, too deep, or a key twice
                 raise ValueError(f"{path}: {exc}") from None
+        merged = merged.merge(MetricsSummary.from_dict(summary))
     with _open_out(args.output) as out:
         json.dump(merged.to_mergeable_dict(), out, indent=2)
         out.write("\n")

@@ -45,6 +45,16 @@ def _reject_constant(token: str) -> float:
     raise ValueError(f"non-finite number {token!r} not allowed")
 
 
+def unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, for ``object_pairs_hook``; a repeated key is an error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()  # set.add returns None, so the first key seen twice is next's
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"repeated key {repeated!r}")
+    return obj
+
+
 def parse_group_record(obj: dict) -> Group:
     """Map one decoded record onto a Group, checking only the wire format.
 
@@ -90,7 +100,7 @@ def iter_groups(lines: Iterable[str]) -> Iterator[Group]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line, parse_constant=_reject_constant)
+            obj = json.loads(line, parse_constant=_reject_constant, object_pairs_hook=unique_keys)
             group = parse_group_record(obj)
         except (ValueError, TypeError, RecursionError) as exc:
             raise RecordError(line_no, str(exc)) from None
@@ -213,10 +223,7 @@ def weight_line(
     return dumps(head, separators=(",", ":"))[:-1] + f',"completions":[{completions}]}}'
 
 
-def write_jsonl(lines: Iterable[str], stream: TextIO) -> int:
-    """Write rendered lines one per line; returns the number written."""
-    count = 0
+def write_jsonl(lines: Iterable[str], stream: TextIO) -> None:
+    """Write rendered lines one per line."""
     for line in lines:
         stream.write(line + "\n")
-        count += 1
-    return count

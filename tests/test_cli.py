@@ -156,6 +156,11 @@ MALFORMED_LINES = {
         "a group needs at least two trajectories",
     ),
     "deep-nesting": ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+    # json.loads alone keeps the last of the two, so the completion reads reward 0.0
+    "repeated-key": (
+        _bad_completion().replace('"reward": 0.0', '"reward": 1.0, "reward": 0.0'),
+        "repeated key 'reward'",
+    ),
 }
 
 
@@ -638,6 +643,13 @@ SIM_UNPARSABLE = [
     ("reward[1] = abc\n", "reward[1]"),
     ("reward[1,,2] = 1\n", "reward[1,,2]"),
     ("reward[1,2,] = 1\n", "reward[1,2,]"),
+    # int() takes these too: steps = 1_0 would run 10 steps, reward[0_3] reward (3,)
+    ("steps = 1_0\n", "steps"),
+    ("steps = +1\n", "steps"),
+    ("seed = 05\n", "seed"),
+    ("terminal_token = +3\n", "terminal_token"),
+    ("reward[0_3] = 1\n", "reward[0_3]"),
+    ("reward[+3] = 1\n", "reward[+3]"),
 ]
 # a key given a second time on line 2, and that line's spelling of it;
 # reward[...] keys are compared by their token sequence
@@ -731,6 +743,17 @@ class TestSimulate:
         assert main(["simulate", str(config), "-o", str(a)]) == 0
         assert main(["simulate", str(config), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_spaces_in_a_reward_key_still_parse(self, tmp_path):
+        outputs = []
+        for key in ("reward[0,0,1]", "reward[ 0, 0 ,1 ]"):
+            config = tmp_path / "sim.cfg"
+            text = f"vocab_size = 3\nmax_len = 3\nsteps = 2\n{key} = 1\n"
+            config.write_text(text, encoding="utf-8")
+            out = tmp_path / "out.csv"
+            assert main(["simulate", str(config), "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("token", ["5", "-1"])
     def test_reward_token_outside_vocabulary(self, tmp_path, capsys, token):
@@ -962,6 +985,24 @@ IMPOSSIBLE_SUMMARIES = {
         _summary_text(trajectory_count=2, depth_hist={"0": 2}, proportion_hist={"1_0": 2}),
         "'proportion_hist'",
     ),
+    # json.load alone keeps the last of the two, so step 1 loses its first entry
+    "repeated-step-key": (
+        _summary_text(
+            group_count=2,
+            trajectory_count=4,
+            depth_hist={"0": 4},
+            proportion_hist={"0": 4},
+            per_step_raw={
+                "1": _step_raw(group_count=1, trajectory_count=2),
+                "01": _step_raw(group_count=1, trajectory_count=2),
+            },
+        ).replace('"01"', '"1"'),
+        "repeated key '1'",
+    ),
+    "repeated-field": (
+        _summary_text().replace('"group_count": 0', '"group_count": 0, "group_count": 0'),
+        "repeated key 'group_count'",
+    ),
 }
 
 
@@ -1044,6 +1085,12 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert named in err
+
+    def test_repeated_key_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        path.write_text(IMPOSSIBLE_SUMMARIES["repeated-step-key"][0] + "\n", encoding="utf-8")
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: repeated key '1'\n"
 
     @pytest.mark.parametrize(
         "fields",

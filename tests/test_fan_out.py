@@ -21,6 +21,7 @@ import pytest
 from steptree import cli, verify
 from steptree.io import RecordError, serialize_group
 from steptree.verify import (
+    LOGP_ABSENT,
     LOGP_RANDOM_CONSISTENT,
     GenParams,
     generate_random_group,
@@ -244,6 +245,29 @@ def test_small_files_and_one_cpu_stay_serial(tmp_path, monkeypatch, forks):
     assert cli._mapper(str(path)) is map
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert cli._mapper() is map
+
+
+def dump_of_size(path: Path, logp_mode: str, size: int) -> Path:
+    """Whole groups of one shape, padded with blank lines to exactly ``size`` bytes."""
+    params = GenParams(seed=64, logp_mode=logp_mode)
+    text, index = "", 0
+    while len(text) + len(line := serialize_group(generate_random_group(params, index))) < size:
+        text += line + "\n"
+        index += 1
+    path.write_text(text + "\n" * (size - len(text)), encoding="utf-8")
+    assert index >= 2 and path.stat().st_size == size
+    return path
+
+
+@pytest.mark.parametrize("logp_mode", [LOGP_ABSENT, LOGP_RANDOM_CONSISTENT])
+def test_the_gate_as_chosen(tmp_path, monkeypatch, logp_mode):
+    # the value in the code, unpatched: 64 KiB, from the break-even sweep in BENCH_21.json
+    assert cli._FAN_OUT_MIN_BYTES == 64 * 1024
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    gate = cli._FAN_OUT_MIN_BYTES
+    for size, mapper in ((gate - 1, map), (gate, cli._fan_out)):
+        path = dump_of_size(tmp_path / f"{size}.jsonl", logp_mode, size)
+        assert cli._mapper(str(path)) is mapper
 
 
 def test_library_never_forks(monkeypatch):

@@ -14,7 +14,7 @@ import json
 import os
 import stat
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO
 
 from .core import DEFAULT_EPSILON, DEFAULT_TOL, Group, POPULATION, SAMPLE, check_nonnegative
@@ -22,7 +22,6 @@ from .objectives import DEFAULT_BETA, GRPO, LAMBDA, objective_grpo, objective_la
 from .tree import DOT, EXPORT_FORMATS, build_process_tree, export_tree
 
 if TYPE_CHECKING:
-    from .sim import SimConfig, ToyEnv, ToyPolicy
     from .verify import VerificationReport
 
 
@@ -149,7 +148,7 @@ def _mapper(path: Optional[str] = None) -> Callable:
     if path is not None:
         try:
             info = os.stat(path)
-        except OSError:  # the serial loop reports it
+        except OSError:  # the reader reports it
             return map
         if not stat.S_ISREG(info.st_mode) or info.st_size < _FAN_OUT_MIN_BYTES:
             return map
@@ -242,11 +241,17 @@ def _read_groups(
 ) -> Iterator:
     """``work(group)`` for each group of the dump at ``path``, in file order.
 
-    Each line is parsed where ``mapper`` runs ``work``, so a forked child of
+    A dump that cannot be opened is an error here, before the caller opens
+    any output; a FIFO is not tried, as that would take its writer's data.
+    The reading opens the dump again, in each process that reads it. Each
+    line is parsed where ``mapper`` runs ``work``, so a forked child of
     ``_fan_out`` parses its own share. A malformed line is an error under
     ``strict``, else skipped and named on stderr once the reading ends.
     """
     from .io import RecordError, iter_groups
+
+    if not stat.S_ISFIFO(os.stat(path).st_mode):
+        open(path, "rb").close()
 
     def parse(numbered: tuple[int, str]) -> tuple:
         line_no, line = numbered
@@ -257,20 +262,23 @@ def _read_groups(
             return (line_no, err.message), None
         return None, work(group)
 
-    skipped: list[RecordError] = []
-    try:
-        for malformed, result in mapper(parse, _dump_lines(path)):
-            if malformed is None:
-                yield result
-            elif strict:
-                raise RecordError(*malformed)
-            else:
-                skipped.append(RecordError(*malformed))
-    finally:
-        if skipped:
-            print(f"skipped {len(skipped)} malformed line(s)", file=sys.stderr)
-            for err in skipped[:5]:
-                print(f"  {err}", file=sys.stderr)
+    def read() -> Iterator:
+        skipped: list[RecordError] = []
+        try:
+            for malformed, result in mapper(parse, _dump_lines(path)):
+                if malformed is None:
+                    yield result
+                elif strict:
+                    raise RecordError(*malformed)
+                else:
+                    skipped.append(RecordError(*malformed))
+        finally:
+            if skipped:
+                print(f"skipped {len(skipped)} malformed line(s)", file=sys.stderr)
+                for err in skipped[:5]:
+                    print(f"  {err}", file=sys.stderr)
+
+    return read()
 
 
 def _csv_cell(value) -> str:
@@ -289,10 +297,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from .rewards import GroupDerivation
 
     summary = MetricsSummary()
-    with _open_out(args.csv) as out:
+    # closed here on an error, so the skip notice comes before the error line
+    with closing(_read_groups(args.input, args.strict)) as groups, _open_out(args.csv) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for group in _read_groups(args.input, args.strict):
+        for group in groups:
             derived = GroupDerivation(
                 group, [effective_config(group, args.beta)], args.std, args.eps
             )
@@ -406,148 +415,10 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_int(text: str) -> int:
-    """``int(text)`` in the ``str(int)`` form alone, spaces aside: not ``+1``, ``01``, ``1_0``."""
-    if str(value := int(text)) != text.strip():
-        raise ValueError(text)
-    return value
-
-
-def _parse_sim_config(path: str) -> dict:
-    """Flat ``key = value`` file; ``reward[1,2] = 0.5`` lines form ``reward[...]``."""
-    values: dict = {}
-    rewards: dict[tuple[int, ...], float] = {}
-    first_lines: dict = {}  # each key -> its line, reward[...] keys by their sequence
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            name = key
-            if key.startswith("reward[") and key.endswith("]"):
-                inner = key[len("reward[") : -1]
-                try:
-                    name = tuple(map(_config_int, inner.split(","))) if inner.strip() else ()
-                    rewards[name] = float(value)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{line_no}: config key {key!r} = {value!r} does not parse"
-                    ) from None
-            else:
-                values[key] = value
-            if name in first_lines:
-                raise ValueError(
-                    f"{path}:{line_no}: config key {key!r} repeats line {first_lines[name]}"
-                )
-            first_lines[name] = line_no
-    if rewards:
-        values["reward[...]"] = rewards
-    return values
-
-
-def _sim_from_config(
-    raw: dict,
-) -> tuple[ToyPolicy, ToyEnv, Optional[Group], SimConfig, str]:
-    """The policy, environment, built-in group, config and mode of a run.
-
-    Every key must be read by the chosen scenario and mode; any other key
-    is an error naming it.
-    """
-    from .sim import SimConfig, ToyEnv, ToyPolicy, exploitation_scenario
-
-    unread = dict(raw)
-
-    def get(key: str, default, cast=str):
-        if key not in unread:
-            return default
-        value = unread.pop(key)
-        try:
-            return cast(value)
-        except ValueError:
-            raise ValueError(f"config key {key!r} has an invalid value {value!r}") from None
-
-    scenario = get("scenario", "none")
-    if scenario == "exploitation":
-        policy, env, group = exploitation_scenario(get("concentration", 3.0, float))
-        mode = get("mode", "one_step")
-    elif scenario == "none":
-        policy = ToyPolicy(
-            vocab_size=get("vocab_size", 4, _config_int),
-            horizon=get("horizon", 8, _config_int),
-            temperature=get("temperature", 1.0, float),
-            context_order=get("context_order", 4, _config_int),
-        )
-        env = ToyEnv(
-            reward_table=get("reward[...]", {}, dict),
-            max_len=get("max_len", 8, _config_int),
-            terminal_token=get(
-                "terminal_token", None, lambda v: None if v in ("none", "") else _config_int(v)
-            ),
-        )
-        group = None
-        mode = get("mode", "series")
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    if mode == "series":
-        series = dict(
-            seed=get("seed", 0, _config_int),
-            k=get("k", 6, _config_int),
-            steps=get("steps", 10, _config_int),
-            objective=get("objective", GRPO),
-        )
-    elif mode == "one_step":
-        if group is None:
-            raise ValueError("one_step mode requires scenario = exploitation")
-        series = {}  # one step of each objective on the built-in group
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    config = SimConfig(
-        learn_rate=get("learn_rate", 0.5, float),
-        std_mode=get("std_mode", SAMPLE),
-        epsilon=get("epsilon", DEFAULT_EPSILON, float),
-        **series,
-    )
-    if unread:
-        key = next(iter(unread))
-        raise ValueError(
-            f"config key {key!r} is not read by scenario {scenario!r} in {mode} mode"
-        )
-    return policy, env, group, config, mode
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .sim import one_step_comparison, run_experiment
+    from .sim import run_config
 
-    policy, env, group, config, mode = _sim_from_config(_parse_sim_config(args.config))
-    if mode == "series":
-        header = ("step", "expected_reward", "best_sequence_prob", "objective_value")
-        rows = [
-            (row.step, row.expected_reward, row.best_sequence_prob, row.objective_value)
-            for row in run_experiment(policy, env, config)
-        ]
-    else:
-        comparison = one_step_comparison(policy, group, config)
-        header = (
-            "objective",
-            "shared_size",
-            "prefix_prob_before",
-            "prefix_prob_after",
-            "prefix_prob_delta",
-        )
-        rows = [
-            (
-                shift.objective,
-                comparison.shared_size,
-                shift.prefix_prob_before,
-                shift.prefix_prob_after,
-                shift.prefix_prob_delta,
-            )
-            for shift in (comparison.grpo, comparison.lam)
-        ]
+    header, rows = run_config(args.config)
     with _open_out(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)

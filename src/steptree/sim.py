@@ -8,7 +8,8 @@ The headline demonstration is a constructed group in which the
 highest-reward completion shares a long prefix with low-reward completions:
 one gradient step shrinks the shared-prefix probability under both
 objectives, and the uncorrected objective pushes exactly |owning set| times
-harder on the shared coordinates.
+harder on the shared coordinates. ``run_config`` runs the experiment that a
+``steptree simulate`` config file sets up.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import DEFAULT_EPSILON, Group, SAMPLE, STD_MODES, Trajectory, check_nonnegative
@@ -124,9 +126,11 @@ class ToyEnv:
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
         self.reward_table = {tuple(k): float(v) for k, v in self.reward_table.items()}
-        for seq in self.reward_table:
+        for seq, reward in self.reward_table.items():
             if not seq:
                 raise ValueError("reward[] is the empty sequence, which no rollout ends on")
+            if not math.isfinite(reward):
+                raise ValueError(f"reward[{','.join(map(str, seq))}] must be finite")
             if len(seq) > self.max_len:
                 raise ValueError(f"reward sequence {seq} longer than max_len")
             if self.terminal_token is not None and self.terminal_token in seq[:-1]:
@@ -489,7 +493,7 @@ def exploitation_scenario(
         (6, 6),
     ]
     rewards = [0.5, 0.5, 1.0, 0.0, 0.0, 0.5]
-    policy = ToyPolicy(vocab_size=10, horizon=12, temperature=1.0, context_order=4)
+    policy = ToyPolicy(vocab_size=10)
     seen: set[tuple[Context, int]] = set()
     for seq in sequences:
         prefix: list[int] = []
@@ -556,3 +560,120 @@ def one_step_comparison(
         grpo=shifts[GRPO],
         lam=shifts[LAMBDA],
     )
+
+
+def _config_int(text: str) -> int:
+    """``int(text)`` in the ``str(int)`` form alone, spaces aside: not ``+1``, ``01``, ``1_0``."""
+    if str(value := int(text)) != text.strip():
+        raise ValueError(text)
+    return value
+
+
+def _load_config(path: str) -> tuple[ToyPolicy, ToyEnv, Optional[Group], SimConfig, str]:
+    """The policy, environment, built-in group, config and mode of a config file.
+
+    A flat ``key = value`` file; ``reward[1,2] = 0.5`` lines form the reward
+    table. A key the file leaves out is not passed on, so it takes the
+    default of the class or function it sets. Every key must be read by the
+    chosen scenario and mode; any other key is an error naming it.
+    """
+    unread: dict = {}
+    rewards: dict[tuple[int, ...], float] = {}
+    first_lines: dict = {}  # each key -> its line, reward[...] keys by their sequence
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            name = key
+            if key.startswith("reward[") and key.endswith("]"):
+                inner = key[len("reward[") : -1]
+                try:
+                    name = tuple(map(_config_int, inner.split(","))) if inner.strip() else ()
+                    rewards[name] = float(value)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{line_no}: config key {key!r} = {value!r} does not parse"
+                    ) from None
+            else:
+                unread[key] = value
+            if name in first_lines:
+                raise ValueError(
+                    f"{path}:{line_no}: config key {key!r} repeats line {first_lines[name]}"
+                )
+            first_lines[name] = line_no
+    if rewards:
+        unread["reward[...]"] = rewards
+
+    def given(**casts) -> dict:
+        """Each key of ``casts`` that the file sets, cast, read in the order given."""
+        found = {}
+        for key in [key for key in casts if key in unread]:
+            value = unread.pop(key)
+            try:
+                found[key] = casts[key](value)
+            except ValueError:
+                raise ValueError(f"config key {key!r} has an invalid value {value!r}") from None
+        return found
+
+    scenario = unread.pop("scenario", "none")
+    if scenario == "exploitation":
+        policy, env, group = exploitation_scenario(**given(concentration=float))
+        mode = unread.pop("mode", "one_step")
+    elif scenario == "none":
+        knobs = given(
+            vocab_size=_config_int,
+            horizon=_config_int,
+            temperature=float,
+            context_order=_config_int,
+        )
+        # the command's own defaults: ToyPolicy's horizon is 12, and
+        # vocab_size, max_len and the reward table have none
+        policy = ToyPolicy(**{"vocab_size": 4, "horizon": 8, **knobs})
+        knobs = given(
+            max_len=_config_int,
+            terminal_token=lambda v: None if v in ("none", "") else _config_int(v),
+        )
+        env = ToyEnv(unread.pop("reward[...]", {}), **{"max_len": 8, **knobs})
+        group = None
+        mode = unread.pop("mode", "series")
+    else:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    if mode == "series":
+        series = given(seed=_config_int, k=_config_int, steps=_config_int, objective=str)
+    elif mode == "one_step":
+        if group is None:
+            raise ValueError("one_step mode requires scenario = exploitation")
+        series = {}  # one step of each objective on the built-in group
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    config = SimConfig(**given(learn_rate=float, std_mode=str, epsilon=float), **series)
+    if unread:
+        key = next(iter(unread))
+        raise ValueError(
+            f"config key {key!r} is not read by scenario {scenario!r} in {mode} mode"
+        )
+    return policy, env, group, config, mode
+
+
+def run_config(path: str) -> tuple[tuple[str, ...], list[tuple]]:
+    """The CSV header and rows of the run the config file at ``path`` sets up.
+
+    Series mode gives one row per step of ``run_experiment``, one_step mode
+    one row per objective of ``one_step_comparison``.
+    """
+    policy, env, group, config, mode = _load_config(path)
+    if mode == "series":
+        header = ("step", "expected_reward", "best_sequence_prob", "objective_value")
+        return header, [attrgetter(*header)(row) for row in run_experiment(policy, env, config)]
+    comparison = one_step_comparison(policy, group, config)
+    prefix = ("prefix_prob_before", "prefix_prob_after", "prefix_prob_delta")
+    rows = [
+        (shift.objective, comparison.shared_size, *attrgetter(*prefix)(shift))
+        for shift in (comparison.grpo, comparison.lam)
+    ]
+    return ("objective", "shared_size", *prefix), rows

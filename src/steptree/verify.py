@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .core import DEFAULT_EPSILON, DEFAULT_TOL, Group, SAMPLE, Trajectory, check_nonnegative
 from .core import group_from_sequences
 from .objectives import DEFAULT_BETA, GRPO, LAMBDA, PRM, ObjectiveConfig, TokenTerms
-from .objectives import objective_lambda, objective_prm
-from .rewards import GroupDerivation, step_advantages
+from .objectives import objective_prm
+from .rewards import GroupDerivation
 from .tree import is_trivial
 
 BERNOULLI = "bernoulli"
@@ -360,7 +360,7 @@ def verify_proof_identities(derived: GroupDerivation) -> VerificationEntry:
     the check that gap came from.
     """
     group, tree, assignment = derived.group, derived.tree, derived.assignment
-    steps = step_advantages(tree, assignment, group, derived.stats)
+    steps = assignment.rows(derived.node_advantages)
     shared = [
         (n.members, ahat, n.span_start, n.span_end)
         for n, ahat in zip(tree.nodes, derived.node_advantages)
@@ -369,7 +369,8 @@ def verify_proof_identities(derived: GroupDerivation) -> VerificationEntry:
     # each token's owning set size, counted from the members
     size_rows = assignment.rows([len(n.members) for n in tree.nodes])
     gaps = []
-    for config, terms, grpo_report in zip(derived.configs, derived.terms, derived.grpo):
+    reports = zip(derived.configs, derived.terms, derived.grpo, derived.lam)
+    for config, terms, grpo_report, lambda_report in reports:
         p, d, beta = terms
 
         # 1. per-node sums; where both sides are equal the gap is 0
@@ -392,9 +393,7 @@ def verify_proof_identities(derived: GroupDerivation) -> VerificationEntry:
 
         # 2. node-major regrouping of each objective
         prm_report = objective_prm(group, steps, terms)
-        lambda_report = objective_lambda(group, assignment, derived.advantages, terms)
-        reports = (grpo_report, prm_report, lambda_report)
-        for kind, report in zip((GRPO, PRM, LAMBDA), reports):
+        for kind, report in zip((GRPO, PRM, LAMBDA), (grpo_report, prm_report, lambda_report)):
             node_major = _node_major_value(derived, terms, kind)
             scale = _term_scale(derived, report.per_token_terms)
             found.append((f"partition:{kind}", _rel_gap(report.value, node_major, scale)))

@@ -15,8 +15,11 @@ from steptree import (
     ToyEnv,
     ToyPolicy,
     Trajectory,
+    assign_tokens,
+    build_process_tree,
     group_from_sequences,
     lambda_weights,
+    rewards,
     rollout_group,
     verify,
 )
@@ -275,7 +278,7 @@ class TestVerify:
 
     def test_scaling_failure_is_named(self, tmp_path, capsys, monkeypatch):
         # one singleton-owned lambda term no longer equals its GRPO term
-        original = verify.objective_lambda
+        original = rewards.objective_lambda
 
         def perturbed(group, assignment, advantages, terms):
             report = original(group, assignment, advantages, terms)
@@ -289,17 +292,18 @@ class TestVerify:
             rows[i][t] += 0.5
             return replace(report, per_token_terms=tuple(map(tuple, rows)))
 
-        monkeypatch.setattr(verify, "objective_lambda", perturbed)
+        monkeypatch.setattr(rewards, "objective_lambda", perturbed)
         line = self.failure_line(tmp_path, capsys, make_overlap_group())
         assert line.startswith("  failure: query_id=overlap rel_gap=")
         assert line.endswith(" check=scaling config=beta=0.0,unit_ratio=1")
 
     def test_partition_failure_is_named(self, tmp_path, capsys, monkeypatch):
         # one step advantage of a shared span no longer matches its node
-        original = verify.step_advantages
+        original = verify.objective_prm
 
-        def perturbed(tree, assignment, group, stats):
-            rows = [list(row) for row in original(tree, assignment, group, stats)]
+        def perturbed(group, step_advantage_rows, terms):
+            assignment = assign_tokens(build_process_tree(group))
+            rows = [list(row) for row in step_advantage_rows]
             i, t = next(
                 (i, t)
                 for i, row in enumerate(rows)
@@ -307,9 +311,9 @@ class TestVerify:
                 if assignment.owner(i, t).size > 1
             )
             rows[i][t] += 0.5
-            return tuple(map(tuple, rows))
+            return original(group, rows, terms)
 
-        monkeypatch.setattr(verify, "step_advantages", perturbed)
+        monkeypatch.setattr(verify, "objective_prm", perturbed)
         line = self.failure_line(tmp_path, capsys, make_overlap_group())
         assert line.endswith(" check=partition:prm config=beta=0.0,unit_ratio=1")
 
@@ -620,6 +624,9 @@ SIM_UNUSABLE = [
     ("learn_rate = nan\n", "learn_rate"),
     ("terminal_token = 99\n", "terminal_token"),
     ("reward[] = 1\n", "reward[]"),
+    # never sampled without a terminal token, so only the table check sees them
+    ("reward[3] = inf\n", "reward[3]"),
+    ("reward[3] = nan\n", "reward[3]"),
 ]
 SIM_NON_FINITE = [
     ("scenario = exploitation\nconcentration = nan\n", "concentration"),
@@ -840,6 +847,38 @@ class TestSimulate:
         # its series is pinned by the simulate_series_learning golden
         blocks = README.read_text(encoding="utf-8").split("```ini\n")[1:]
         assert blocks[1].split("```")[0] == LEARNING
+
+    def test_readme_defaults_are_the_defaults(self, tmp_path):
+        # each default of the README's key table, given explicitly, changes no byte
+        readme = README.read_text(encoding="utf-8")
+        table = readme.split("| key | default | read by |\n|---|---|---|\n")[1].split("\n\n")[0]
+        rows = [[cell.strip() for cell in row.strip("|").split("|")] for row in table.splitlines()]
+        assert {key.strip("`") for key, _, _ in rows} == {
+            "scenario", "mode", "concentration", "vocab_size", "horizon", "temperature",
+            "context_order", "max_len", "terminal_token", "reward[...]", "seed", "k",
+            "steps", "objective", "learn_rate", "std_mode", "epsilon",
+        }  # fmt: skip
+        free_form = LEARNING.replace("steps = 20", "steps = 3")
+        checked = 0
+        for key, default, read_by in rows:
+            if not default.startswith("`"):  # no entries: reward[...] has no spelling
+                continue
+            key, default = key.strip("`"), default.strip("`")
+            if "exploitation" in read_by:
+                base = "scenario = exploitation\n"
+            else:
+                base = "".join(
+                    line for line in free_form.splitlines(True) if line.split(" =")[0] != key
+                )
+            outputs = []
+            for text in (base, base + f"{key} = {default}\n"):
+                config, out = tmp_path / "sim.cfg", tmp_path / "out.csv"
+                config.write_text(text, encoding="utf-8")
+                assert main(["simulate", str(config), "-o", str(out)]) == 0, text
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1], key
+            checked += 1
+        assert checked == len(rows) - 1
 
     def test_readme_size_correction_sweep(self, tmp_path):
         # the README's table: the LEARNING config for 40 steps, seeds 0-11
@@ -1125,6 +1164,21 @@ class TestUsage:
         assert main(["analyze", "/does/not/exist.jsonl"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args", [["analyze", "--csv"], ["weights", "-o"], ["tree", "--group-id", "q", "-o"]]
+    )
+    @pytest.mark.parametrize("missing", ["file", "directory"])
+    def test_input_that_cannot_be_opened_leaves_the_output_alone(
+        self, tmp_path, capsys, args, missing
+    ):
+        source = tmp_path / "missing.jsonl" if missing == "file" else tmp_path
+        out = tmp_path / "previous.out"
+        out.write_text("previous\n", encoding="utf-8")
+        command, *flags = args
+        assert main([command, str(source), *flags, str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert out.read_text(encoding="utf-8") == "previous\n"
+
 
 def test_tree_json_export_deeper_than_recursion_limit(tmp_path):
     # the indented JSON text grows with the cube of the depth (1.2 GB for a
@@ -1236,7 +1290,8 @@ OBJECTIVE_SPANS = (
         (["analyze"], {"objectives.objective_grpo", "objectives.objective_lambda"}),
         (["weights", "--objective", "lambda"], {"objectives.objective_lambda"}),
         (["weights", "--objective", "grpo"], {"objectives.objective_grpo"}),
-        (["verify"], set(OBJECTIVE_SPANS)),
+        # the identities read the step advantages from the derivation's node table
+        (["verify"], set(OBJECTIVE_SPANS) - {"rewards.step_advantages"}),
     ],
 )
 def test_each_command_computes_only_what_it_reads(tmp_path, args, reads):
